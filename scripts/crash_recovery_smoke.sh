@@ -17,6 +17,10 @@
 # 2): one mid-WAL-tail, one exactly on a checkpoint boundary (empty WAL), and
 # one on the last epoch.
 #
+# Both interest encodings of the snapshot (docs/FORMATS.md §7) are crashed:
+# a generated instance (a hash-seed base) and the same kind of instance
+# written by `igepa generate` and served with --in (a raw-table base).
+#
 # Usage: scripts/crash_recovery_smoke.sh <build-dir>
 set -euo pipefail
 
@@ -25,53 +29,76 @@ igepa="$build_dir/igepa_main"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-serve_flags=(--events 40 --users 250 --count 60 --seed 11
-             --max-batch 8 --checkpoint-every 2)
+common_flags=(--count 60 --seed 11 --max-batch 8 --checkpoint-every 2)
 
-echo "== reference: uninterrupted durable run"
-"$igepa" serve "${serve_flags[@]}" --durable-dir "$work/ref-state" \
-  --out-arrangement "$work/ref.csv" >"$work/ref.log"
-total_epochs=$(grep -c '^[0-9]' "$work/ref.log" || true)
-echo "   reference run: $total_epochs epochs"
-[[ "$total_epochs" -ge 5 ]] || {
-  echo "FAIL: reference run produced too few epochs to place kill points" >&2
-  exit 1
+# crash_and_recover <label> <hash|table> <serve flags...>
+crash_and_recover() {
+  local label=$1 encoding=$2
+  shift 2
+  local serve_flags=("$@")
+  local dir="$work/$label"
+  mkdir -p "$dir"
+
+  echo "== [$label] reference: uninterrupted durable run"
+  "$igepa" serve "${serve_flags[@]}" --durable-dir "$dir/ref-state" \
+    --out-arrangement "$dir/ref.csv" >"$dir/ref.log"
+  local total_epochs
+  total_epochs=$(grep -c '^[0-9]' "$dir/ref.log" || true)
+  echo "   reference run: $total_epochs epochs"
+  [[ "$total_epochs" -ge 5 ]] || {
+    echo "FAIL: [$label] reference run produced too few epochs to place" \
+      "kill points" >&2
+    exit 1
+  }
+
+  # Mid-WAL-tail (odd), checkpoint boundary (even), and the final epoch.
+  local kill_points=(1 2 $((total_epochs - 1)))
+  local k state rc
+  for k in "${kill_points[@]}"; do
+    echo "== [$label] kill point: SIGKILL after epoch $k"
+    state="$dir/state-$k"
+    rc=0
+    IGEPA_CRASH_AFTER_EPOCH=$k "$igepa" serve "${serve_flags[@]}" \
+      --durable-dir "$state" --out-arrangement "$dir/never-written.csv" \
+      >"$dir/crash-$k.log" 2>&1 || rc=$?
+    if [[ "$rc" -ne 137 ]]; then
+      echo "FAIL: [$label] expected SIGKILL exit 137 at epoch $k, got $rc" >&2
+      cat "$dir/crash-$k.log" >&2
+      exit 1
+    fi
+    [[ -f "$state/snapshot.igs" ]] || {
+      echo "FAIL: [$label] no snapshot survived the crash at epoch $k" >&2
+      exit 1
+    }
+    grep -aq "^interest,$encoding," "$state/snapshot.igs" || {
+      echo "FAIL: [$label] snapshot does not use the $encoding encoding" >&2
+      exit 1
+    }
+
+    echo "   recover + resume"
+    "$igepa" serve "${serve_flags[@]}" --durable-dir "$state" \
+      --out-arrangement "$dir/recovered-$k.csv" >"$dir/recover-$k.log"
+    grep -q '^recovered from ' "$dir/recover-$k.log" || {
+      echo "FAIL: [$label] recovery run at epoch $k did not actually recover" >&2
+      cat "$dir/recover-$k.log" >&2
+      exit 1
+    }
+
+    echo "   diff recovered arrangement vs reference (byte-for-byte)"
+    cmp "$dir/ref.csv" "$dir/recovered-$k.csv" || {
+      echo "FAIL: [$label] recovered arrangement differs after kill at" \
+        "epoch $k" >&2
+      exit 1
+    }
+  done
+  echo "   [$label] ${#kill_points[@]} kill points recovered bit-identically"
 }
 
-# Mid-WAL-tail (odd), checkpoint boundary (even), and the final epoch.
-kill_points=(1 2 $((total_epochs - 1)))
+crash_and_recover generated hash --events 40 --users 250 "${common_flags[@]}"
 
-for k in "${kill_points[@]}"; do
-  echo "== kill point: SIGKILL after epoch $k"
-  state="$work/state-$k"
-  rc=0
-  IGEPA_CRASH_AFTER_EPOCH=$k "$igepa" serve "${serve_flags[@]}" \
-    --durable-dir "$state" --out-arrangement "$work/never-written.csv" \
-    >"$work/crash-$k.log" 2>&1 || rc=$?
-  if [[ "$rc" -ne 137 ]]; then
-    echo "FAIL: expected SIGKILL exit 137 at epoch $k, got $rc" >&2
-    cat "$work/crash-$k.log" >&2
-    exit 1
-  fi
-  [[ -f "$state/snapshot.igs" ]] || {
-    echo "FAIL: no snapshot survived the crash at epoch $k" >&2
-    exit 1
-  }
+"$igepa" generate --kind synthetic --events 40 --users 250 --seed 11 \
+  --out "$work/instance.csv" >/dev/null
+crash_and_recover csv-input table --in "$work/instance.csv" \
+  "${common_flags[@]}"
 
-  echo "   recover + resume"
-  "$igepa" serve "${serve_flags[@]}" --durable-dir "$state" \
-    --out-arrangement "$work/recovered-$k.csv" >"$work/recover-$k.log"
-  grep -q '^recovered from ' "$work/recover-$k.log" || {
-    echo "FAIL: recovery run at epoch $k did not actually recover" >&2
-    cat "$work/recover-$k.log" >&2
-    exit 1
-  }
-
-  echo "   diff recovered arrangement vs reference (byte-for-byte)"
-  cmp "$work/ref.csv" "$work/recovered-$k.csv" || {
-    echo "FAIL: recovered arrangement differs after kill at epoch $k" >&2
-    exit 1
-  }
-done
-
-echo "crash_recovery_smoke: ${#kill_points[@]} kill points recovered bit-identically"
+echo "crash_recovery_smoke: both interest encodings recovered bit-identically"

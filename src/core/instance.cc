@@ -186,6 +186,22 @@ Status Instance::ApplyGraphEdge(UserId a, UserId b, bool add) {
   return Status::OK();
 }
 
+std::vector<Instance::InterestOverride> Instance::InterestOverrides() const {
+  std::vector<InterestOverride> out;
+  out.reserve(interest_overrides_.size());
+  for (const auto& [key, value] : interest_overrides_) {
+    out.push_back({static_cast<EventId>(key >> 32),
+                   static_cast<UserId>(key & 0xffffffffULL), value});
+  }
+  // InterestKey puts the event in the high word, so (event, user) order is
+  // key order.
+  std::sort(out.begin(), out.end(),
+            [](const InterestOverride& a, const InterestOverride& b) {
+              return InterestKey(a.event, a.user) < InterestKey(b.event, b.user);
+            });
+  return out;
+}
+
 int64_t Instance::TotalBids() const {
   int64_t total = 0;
   for (const auto& u : users_) total += static_cast<int64_t>(u.bids.size());

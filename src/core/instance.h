@@ -156,6 +156,19 @@ class Instance {
   /// Total bid pairs Σ_u |N_u| (after validation).
   int64_t TotalBids() const;
 
+  /// One interest-drift override laid over the base SI model.
+  struct InterestOverride {
+    EventId event = 0;
+    UserId user = 0;
+    double value = 0.0;
+  };
+
+  /// Every UpdateInterest override, sorted by (event, user): a canonical
+  /// order that does not depend on the order the drifts were applied in, so
+  /// a serializer that writes this list writes the same bytes for the same
+  /// overlay (serve::Checkpointer relies on that).
+  std::vector<InterestOverride> InterestOverrides() const;
+
  private:
   static uint64_t InterestKey(EventId v, UserId u) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(v)) << 32) |

@@ -21,9 +21,9 @@ namespace {
 
 // Round-trip exact for every finite double (17 significant digits). The
 // fixed-precision FormatDouble(x, 17) used by the legacy sparse format loses
-// ulps below 0.1 — leading zeros consume its digit budget — which recovery
-// snapshots (dense_interest mode) cannot afford: a recovered engine must
-// reproduce every weight bit for bit.
+// ulps below 0.1 — leading zeros consume its digit budget — which a
+// dense_interest file, read back as an exact copy of a live instance, cannot
+// afford.
 std::string FormatDoubleExact(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
@@ -47,9 +47,9 @@ Status WriteInstanceCsv(const Instance& instance, std::ostream& out,
   // byte-identical v1 files.
   const bool default_kernel =
       instance.kernel().id() == core::DefaultUtilityKernel()->id();
-  // dense_interest files are recovery snapshots: every double in them must
-  // survive a write/read cycle exactly, so they use the round-trip-exact
-  // formatter throughout. Sparse files keep the historical fixed-17 bytes.
+  // Every double in a dense_interest file must survive a write/read cycle
+  // exactly, so it uses the round-trip-exact formatter throughout. Sparse
+  // files keep the historical fixed-17 bytes.
   const auto fmt = [dense_interest](double value) {
     return dense_interest ? FormatDoubleExact(value) : FormatDouble(value, 17);
   };

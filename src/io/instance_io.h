@@ -39,18 +39,17 @@ namespace io {
 Status WriteInstanceCsv(const core::Instance& instance,
                         const std::string& path);
 
-/// Stream-based variant (serve checkpoints embed the instance through this);
-/// `label` names the destination in error messages.
+/// Stream-based variant; `label` names the destination in error messages.
 ///
 /// `dense_interest` writes an interest line for EVERY (event, user) pair
-/// instead of just the current bid pairs. The bid-pair default is all any
-/// solve of the *frozen* instance can evaluate, but a served instance is
-/// live: a later re-registration delta adds bids whose SI must read the same
-/// value the original interest model would have produced — a sparse snapshot
-/// would silently turn them into 0. Deterministic crash recovery therefore
-/// snapshots densely (docs/FORMATS.md). Dense files also format every double
+/// instead of just the current bid pairs, and formats every double
 /// round-trip exactly ("%.17g") instead of the sparse format's historical
-/// fixed-17 digits, which lose ulps below 0.1.
+/// fixed-17 digits, which lose ulps below 0.1. The bid-pair default is all
+/// any solve of the *frozen* instance can evaluate; a dense file also fixes
+/// SI on pairs a later re-registration may bid on. Serve checkpoints do not
+/// use it (they store SI by kind, docs/FORMATS.md §7); its user is the
+/// end-to-end benchmark's output checker, which parses its own copy of a
+/// served instance from a dense file.
 Status WriteInstanceCsv(const core::Instance& instance, std::ostream& out,
                         const std::string& label,
                         bool dense_interest = false);

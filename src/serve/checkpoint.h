@@ -48,24 +48,33 @@ struct EngineSnapshot {
   int64_t lp_iterations = 0;
   std::vector<double> x;
   std::vector<double> duals;
-  /// The instance as of the checkpointed epoch, embedded with a DENSE
-  /// interest table (io::WriteInstanceCsv dense_interest — see that header
-  /// for why sparse would break later re-registrations). Always set on Load;
-  /// must be set for Write.
+  /// The instance as of the checkpointed epoch. The file stores it by kind
+  /// (docs/FORMATS.md §7): capacities, bids, conflict pairs and exact
+  /// degrees as records, and SI as its base model — a HashUniformInterest
+  /// seed, or else the |V|×|U| base table as one raw section — plus the
+  /// sorted interest-drift overrides, which Load re-applies. Every SI value
+  /// reads back bit for bit, non-bid pairs included, so a later
+  /// re-registration sees the value the original model gives. Always set on
+  /// Load; must be set for Write.
   std::optional<core::Instance> instance;
 };
 
 /// Atomic snapshot persistence — the checkpoint half of the serve durability
-/// pair (the delta half is serve::DeltaWal). One file per directory,
-/// `snapshot.igs`, replaced atomically (write tmp → fsync → rename → fsync
-/// dir), so a crash at any instant leaves either the old snapshot or the new
-/// one, never a torn mix.
+/// pair (the delta half is serve::DeltaWal). One self-contained file per
+/// directory, `snapshot.igs`, replaced atomically (write tmp → fsync →
+/// rename → fsync dir), so a crash at any instant leaves either the old
+/// snapshot or the new one, never a torn mix.
 ///
-/// The file is line-oriented text (docs/FORMATS.md): a header with the
-/// engine counters, the RNG words in hex, each state vector length-prefixed,
-/// doubles as 16-hex-digit IEEE-754 bit patterns (exact round-trip without
-/// trusting decimal formatting), the embedded instance CSV byte-length
-/// prefixed, and a trailing CRC-32 line over everything above it.
+/// Format version 2 (docs/FORMATS.md §7) is line-oriented text: a header
+/// with the engine counters, the RNG words in hex, each state vector and
+/// instance record length-prefixed, doubles as 16-hex-digit IEEE-754 bit
+/// patterns (exact round-trip without trusting decimal formatting), one raw
+/// little-endian section only for an interest base with no compact form, and
+/// a trailing CRC-32 line over everything above it. Overrides are written
+/// sorted, so the bytes do not depend on the order the drifts arrived in and
+/// equal engine states write equal files. Load checks every count against
+/// the bytes that remain before allocating, and refuses anything malformed —
+/// a version-1 file included — with IOError.
 class Checkpointer {
  public:
   /// `<dir>/snapshot.igs`.
@@ -81,7 +90,7 @@ class Checkpointer {
   static Status Write(const std::string& dir, const EngineSnapshot& snapshot);
 
   /// Loads `<dir>/snapshot.igs`: NotFound when absent (cold start), IOError
-  /// on CRC mismatch or malformed contents.
+  /// on CRC mismatch, another format version or malformed contents.
   static Result<EngineSnapshot> Load(const std::string& dir);
 };
 
