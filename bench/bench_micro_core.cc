@@ -271,8 +271,10 @@ BENCHMARK(BM_KernelRescore)->Arg(0)->Arg(4)->Arg(16);
 // The S15 acceptance comparison: re-solving the benchmark LP after a small
 // delta (10 touched users = 1% of the 1k-user instance), cold (/0) vs warm
 // started from the pre-delta optimum (/1). Warm rescans only the touched
-// users at its first iteration and usually certifies immediately, so the gap
-// between the two rows is the latency the incremental engine saves per tick.
+// users at its first iteration and certifies at that iteration's gap check,
+// so the /1 row is one oracle sweep, one primal extraction and the linear-
+// time polish sort; the gap between the rows is the latency the incremental
+// engine saves per tick.
 void BM_StructuredDualWarmVsCold(benchmark::State& state) {
   auto instance = MakeInstance(1000);
   auto catalog = core::AdmissibleCatalog::Build(instance, {});

@@ -19,7 +19,11 @@
 #
 # Both interest encodings of the snapshot (docs/FORMATS.md §7) are crashed:
 # a generated instance (a hash-seed base) and the same kind of instance
-# written by `igepa generate` and served with --in (a raw-table base).
+# written by `igepa generate` and served with --in (a raw-table base). A
+# third pass serves a generated instance under a stream with weight deltas
+# (--p-interest 0.2 --p-edge 0.1, 9 epochs, kill points 1, 2 and 8): its
+# interest drifts reorder users' bids, so the catalog must re-enumerate
+# those users for a checkpoint's column ids to survive recovery's rebuild.
 #
 # Usage: scripts/crash_recovery_smoke.sh <build-dir>
 set -euo pipefail
@@ -101,4 +105,8 @@ crash_and_recover generated hash --events 40 --users 250 "${common_flags[@]}"
 crash_and_recover csv-input table --in "$work/instance.csv" \
   "${common_flags[@]}"
 
-echo "crash_recovery_smoke: both interest encodings recovered bit-identically"
+crash_and_recover weight-drift hash --events 40 --users 250 \
+  --p-interest 0.2 --p-edge 0.1 "${common_flags[@]}"
+
+echo "crash_recovery_smoke: both interest encodings and the weight-delta" \
+  "stream recovered bit-identically"

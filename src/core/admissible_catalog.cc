@@ -106,6 +106,66 @@ std::vector<EventId> OrderedBids(const Instance& instance, UserId u) {
   return ordered;
 }
 
+/// True when enumerating `u` against `instance` reproduces the user's
+/// current column block in `catalog` span for span.
+bool EnumerationMatches(const AdmissibleCatalog& catalog,
+                        const Instance& instance, UserId u,
+                        int32_t max_sets) {
+  std::vector<EventId> pool;
+  std::vector<int32_t> sizes;
+  ArenaEnumerator enumerator(instance, OrderedBids(instance, u),
+                             instance.user_capacity(u), max_sets, &pool,
+                             &sizes);
+  const int32_t count = enumerator.Run();
+  const int32_t begin = catalog.user_columns_begin(u);
+  if (count != catalog.user_columns_end(u) - begin) return false;
+  auto span_begin = pool.begin();
+  for (int32_t k = 0; k < count; ++k) {
+    const auto span_end = span_begin + sizes[static_cast<size_t>(k)];
+    std::sort(span_begin, span_end);  // the catalog stores spans sorted
+    const auto current = catalog.set(begin + k);
+    if (!std::equal(span_begin, span_end, current.begin(), current.end())) {
+      return false;
+    }
+    span_begin = span_end;
+  }
+  return true;
+}
+
+/// True when enumerating `u` against `instance` would reproduce the user's
+/// current column block, for a delta that changed only pair weights (bids,
+/// capacity and conflicts are what they were at enumeration). `lane` holds
+/// the new pair weight of every event in the block, indexed by event id. The
+/// DFS emits each bid's singleton set in bid order, so an untruncated block
+/// lists the order it was enumerated in through its size-1 columns, and the
+/// block is unchanged iff that list is still in OrderedBids order (weight
+/// desc, id asc). A truncated block may lack singletons; it is compared
+/// against a fresh enumeration instead.
+bool BidOrderUnchanged(const AdmissibleCatalog& catalog,
+                       const Instance& instance, UserId u, int32_t max_sets,
+                       const std::vector<double>& lane) {
+  if (!catalog.truncated(u)) {
+    size_t singletons = 0;
+    EventId prev = -1;
+    bool in_order = true;
+    for (int32_t j = catalog.user_columns_begin(u);
+         j < catalog.user_columns_end(u) && in_order; ++j) {
+      const auto span = catalog.set(j);
+      if (span.size() != 1) continue;
+      const EventId next = span[0];
+      if (singletons++ > 0) {
+        const double wp = lane[static_cast<size_t>(prev)];
+        const double wn = lane[static_cast<size_t>(next)];
+        in_order = wp > wn || (wp == wn && prev < next);
+      }
+      prev = next;
+    }
+    if (!in_order) return false;
+    if (singletons == instance.bids(u).size()) return true;
+  }
+  return EnumerationMatches(catalog, instance, u, max_sets);
+}
+
 /// Reusable scratch of the SoA scoring fast path (one per scoring lane): a
 /// dense per-event weight lane with fill markers cleared through the touched
 /// list, plus compacted CSR buffers for the scattered-column path. The lane
@@ -180,8 +240,10 @@ void ScoreUserColumns(const Instance& instance, UserId u, int32_t begin,
 
 /// Like ScoreUserColumns but over a scattered (ascending) column-id list —
 /// the weight-delta path re-scores exactly the touched columns, wherever
-/// they live in the arena. Spans are compacted into a contiguous scratch CSR
-/// so the same SoA kernel entry point serves both paths.
+/// they live in the arena — and with u's lane already gathered into
+/// `scratch` over every event of those columns. Spans are compacted into a
+/// contiguous scratch CSR so the same SoA kernel entry point serves both
+/// paths.
 void ScoreColumnIds(const Instance& instance, UserId u,
                     const std::vector<int32_t>& cols,
                     const std::vector<EventId>& pool,
@@ -199,14 +261,11 @@ void ScoreColumnIds(const Instance& instance, UserId u,
                           pool.data() + e);
     scratch->cbegin.push_back(static_cast<int64_t>(scratch->cpool.size()));
   }
-  GatherLane(instance, u, scratch->cpool.data(), 0,
-             static_cast<int64_t>(scratch->cpool.size()), scratch);
   scratch->scores.resize(cols.size());
   instance.kernel().ScoreColumnsSoA(
       instance, u, scratch->lane.data(), scratch->cpool.data(),
       scratch->cbegin.data(), static_cast<int32_t>(cols.size()),
       scratch->scores.data());
-  ClearLane(scratch);
   for (size_t k = 0; k < cols.size(); ++k) {
     (*weight)[static_cast<size_t>(cols[k])] = scratch->scores[k];
   }
@@ -429,11 +488,103 @@ Result<CatalogDeltaResult> AdmissibleCatalog::ApplyDelta(
         "ApplyDelta: instance shape does not match catalog (deltas cannot "
         "add or remove user/event slots)");
   }
+  IGEPA_RETURN_IF_ERROR(ValidateDelta(nv, nu, delta));
   CatalogDeltaResult result;
   result.touched_users = TouchedUsers(delta);
-  IGEPA_RETURN_IF_ERROR(ValidateDelta(nv, nu, delta));
-
   ScoreScratch scratch;
+
+  // Weight half (graph edges, interest drift): kernel re-scores in place.
+  // Structure — spans, ids, user ranges, inverted index — is untouched, so
+  // this never dirties the catalog. A degree move (graph edge) invalidates
+  // every pair weight of both endpoints; interest drift on (v, u)
+  // invalidates only u's columns whose span contains v. A weight change can
+  // also reorder the user's bids, which OrderedBids sorts by pair weight,
+  // and with them the user's column order (and, under max_sets_per_user,
+  // which columns exist). Re-scoring such a user in place would keep a
+  // layout that Build on the mutated instance does not emit, so a compacted
+  // catalog — and every column id a checkpoint stores against it — would
+  // diverge from a rebuilt one: such a user joins the registrations below.
+  if (delta.has_weight_updates()) {
+    // Sorted endpoint list rather than an O(num_users) flag vector: the
+    // documented delta complexity is touched-only, and a typical weight
+    // delta names a handful of users.
+    std::vector<UserId> full_rescore;
+    full_rescore.reserve(delta.graph_updates.size() * 2);
+    for (const GraphEdgeUpdate& up : delta.graph_updates) {
+      full_rescore.push_back(up.a);
+      full_rescore.push_back(up.b);
+    }
+    std::sort(full_rescore.begin(), full_rescore.end());
+    std::vector<std::pair<UserId, EventId>> drifts;
+    drifts.reserve(delta.interest_updates.size());
+    for (const InterestUpdate& up : delta.interest_updates) {
+      drifts.emplace_back(up.user, up.event);
+    }
+    std::sort(drifts.begin(), drifts.end());
+    drifts.erase(std::unique(drifts.begin(), drifts.end()), drifts.end());
+
+    const size_t registered = result.touched_users.size();
+    std::vector<int32_t> cols;
+    for (UserId u : WeightTouchedUsers(delta)) {
+      // Registered users are enumerated fresh against the mutated instance
+      // below, which scores them with the weight updates included.
+      if (std::binary_search(result.touched_users.begin(),
+                             result.touched_users.begin() + registered, u)) {
+        continue;
+      }
+      const size_t r = static_cast<size_t>(u) * 2;
+      const int32_t begin = user_range_[r];
+      const int32_t end = user_range_[r + 1];
+      const bool full =
+          std::binary_search(full_rescore.begin(), full_rescore.end(), u);
+      cols.clear();
+      if (!full) {
+        const auto first = std::lower_bound(
+            drifts.begin(), drifts.end(), std::make_pair(u, EventId{0}));
+        for (int32_t j = begin; j < end; ++j) {
+          const auto span = set(j);
+          for (auto it = first; it != drifts.end() && it->first == u; ++it) {
+            if (std::binary_search(span.begin(), span.end(), it->second)) {
+              cols.push_back(j);
+              break;
+            }
+          }
+        }
+      }
+      const int32_t rescored =
+          full ? end - begin : static_cast<int32_t>(cols.size());
+      // Untruncated, every bid has a column (or the user has none), so no
+      // column changing weight means no bid that matters did (e.g. interest
+      // drift on a non-bid pair).
+      if (rescored == 0 && truncated_[static_cast<size_t>(u)] == 0) continue;
+      // One lane over the whole block serves the order check and the
+      // re-score alike.
+      GatherLane(instance, u, pool_.data(),
+                 col_begin_[static_cast<size_t>(begin)],
+                 col_begin_[static_cast<size_t>(end)], &scratch);
+      const bool same_order =
+          BidOrderUnchanged(*this, instance, u,
+                            options.admissible.max_sets_per_user, scratch.lane);
+      if (same_order && full) {
+        instance.kernel().ScoreColumnsSoA(
+            instance, u, scratch.lane.data(), pool_.data(),
+            col_begin_.data() + begin, end - begin, weight_.data() + begin);
+      } else if (same_order) {
+        ScoreColumnIds(instance, u, cols, pool_, col_begin_, &weight_,
+                       &scratch);
+      }
+      ClearLane(&scratch);
+      if (!same_order) {
+        result.touched_users.push_back(u);
+        continue;
+      }
+      if (rescored == 0) continue;
+      result.columns_rescored += rescored;
+      result.rescored_users.push_back(u);
+    }
+    std::sort(result.touched_users.begin(), result.touched_users.end());
+  }
+
   for (UserId u : result.touched_users) {
     // Tombstone the user's current block; the arena keeps the bytes so stale
     // column ids remain readable (set/weight) until compaction.
@@ -490,64 +641,6 @@ Result<CatalogDeltaResult> AdmissibleCatalog::ApplyDelta(
   }
 
   if (!result.touched_users.empty()) canonical_ = false;
-
-  // Weight half (graph edges, interest drift): kernel re-scores in place.
-  // Structure — spans, ids, user ranges, inverted index — is untouched, so
-  // this never dirties the catalog. A degree move (graph edge) invalidates
-  // every pair weight of both endpoints; interest drift on (v, u)
-  // invalidates only u's columns whose span contains v.
-  if (delta.has_weight_updates()) {
-    // Sorted endpoint list rather than an O(num_users) flag vector: the
-    // documented delta complexity is touched-only, and a typical weight
-    // delta names a handful of users.
-    std::vector<UserId> full_rescore;
-    full_rescore.reserve(delta.graph_updates.size() * 2);
-    for (const GraphEdgeUpdate& up : delta.graph_updates) {
-      full_rescore.push_back(up.a);
-      full_rescore.push_back(up.b);
-    }
-    std::sort(full_rescore.begin(), full_rescore.end());
-    std::vector<std::pair<UserId, EventId>> drifts;
-    drifts.reserve(delta.interest_updates.size());
-    for (const InterestUpdate& up : delta.interest_updates) {
-      drifts.emplace_back(up.user, up.event);
-    }
-    std::sort(drifts.begin(), drifts.end());
-    drifts.erase(std::unique(drifts.begin(), drifts.end()), drifts.end());
-
-    std::vector<int32_t> cols;
-    for (UserId u : WeightTouchedUsers(delta)) {
-      // Re-enumerated users were already scored fresh against the mutated
-      // instance (which includes the weight updates) at append time.
-      if (std::binary_search(result.touched_users.begin(),
-                             result.touched_users.end(), u)) {
-        continue;
-      }
-      const size_t r = static_cast<size_t>(u) * 2;
-      cols.clear();
-      if (std::binary_search(full_rescore.begin(), full_rescore.end(), u)) {
-        for (int32_t j = user_range_[r]; j < user_range_[r + 1]; ++j) {
-          cols.push_back(j);
-        }
-      } else {
-        const auto first = std::lower_bound(
-            drifts.begin(), drifts.end(), std::make_pair(u, EventId{0}));
-        for (int32_t j = user_range_[r]; j < user_range_[r + 1]; ++j) {
-          const auto span = set(j);
-          for (auto it = first; it != drifts.end() && it->first == u; ++it) {
-            if (std::binary_search(span.begin(), span.end(), it->second)) {
-              cols.push_back(j);
-              break;
-            }
-          }
-        }
-      }
-      if (cols.empty()) continue;  // e.g. interest drift on a non-bid pair
-      ScoreColumnIds(instance, u, cols, pool_, col_begin_, &weight_, &scratch);
-      result.columns_rescored += static_cast<int32_t>(cols.size());
-      result.rescored_users.push_back(u);
-    }
-  }
   if (result.columns_appended > 0 || result.columns_rescored > 0) {
     ++weight_revision_;
   }

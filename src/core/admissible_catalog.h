@@ -54,13 +54,14 @@ struct CatalogDeltaOptions {
 /// What one ApplyDelta call did to the catalog.
 struct CatalogDeltaResult {
   /// Users whose column ranges were re-enumerated (ascending, deduplicated):
-  /// the registration half of the delta.
+  /// the registration half of the delta, plus every weight-touched user
+  /// whose weight change reorders its enumeration.
   std::vector<UserId> touched_users;
   /// Users whose columns were re-scored through the kernel without
-  /// re-enumeration (ascending, deduplicated): the weight half — graph-edge
-  /// endpoints and interest-drift users, minus any user already
-  /// re-enumerated. touched_users ∪ rescored_users is what a warm dual
-  /// restart must rescan.
+  /// re-enumeration (ascending, deduplicated): the rest of the weight half —
+  /// graph-edge endpoints and interest-drift users whose enumeration the
+  /// delta left unchanged. touched_users ∪ rescored_users is what a warm
+  /// dual restart must rescan.
   std::vector<UserId> rescored_users;
   int32_t columns_tombstoned = 0;
   int32_t columns_appended = 0;
@@ -150,13 +151,17 @@ class AdmissibleCatalog {
   /// already-mutated `instance` (call core::ApplyDelta on the instance
   /// first): tombstones their current columns, appends their new ones, and
   /// patches the inverted index in place. Event-capacity updates are free —
-  /// admissibility does not depend on c_v. Weight-only updates (graph
-  /// edges, interest drift) never re-enumerate: the touched columns are
-  /// re-scored in place through the instance's kernel (spans, ids and the
-  /// inverted index are untouched, so the catalog stays canonical if it
-  /// was). Compacts automatically per `options` and reports what happened.
-  /// O(Σ_{touched u} enumeration(u) + Σ_{rescored u} score(u)) plus
-  /// O(catalog) only when compaction triggers.
+  /// admissibility does not depend on c_v. A weight-only update (graph
+  /// edge, interest drift) re-enumerates its user only when the new weights
+  /// reorder the user's bids into a different column block; otherwise the
+  /// touched columns are re-scored in place through the instance's kernel
+  /// (spans, ids and the inverted index are untouched, so the catalog stays
+  /// canonical if it was). Either way the compacted catalog equals Build on
+  /// the mutated instance. Compacts automatically per `options` and reports
+  /// what happened. O(Σ_{re-enumerated u} enumeration(u) + Σ_{weight-touched
+  /// u} score(u)), where a weight-touched user truncated by the set cap also
+  /// costs one enumeration to compare, plus O(catalog) only when compaction
+  /// triggers.
   Result<CatalogDeltaResult> ApplyDelta(const Instance& instance,
                                         const InstanceDelta& delta,
                                         const CatalogDeltaOptions& options = {});

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "core/polish_order.h"
 #include "util/cache_line.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
@@ -21,6 +22,10 @@ constexpr int32_t kUserShardSize = 64;
 
 /// Below this many users the pool spawn outweighs the oracle sweep.
 constexpr int32_t kMinParallelUsers = 128;
+
+/// Iterations a warm solve takes with the fine probe step: its first two
+/// averaging windows, [1, 1] and [2, 3].
+constexpr int64_t kProbeIterations = 3;
 
 }  // namespace
 
@@ -85,9 +90,10 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
   }
 
   // Live columns sorted by descending weight for the greedy polish pass.
-  // Ties break by (owner, id): within a user both ids sit in one contiguous
-  // range, so this order is invariant under delta renumbering — a dirty
-  // catalog polishes in exactly the order its compacted twin would.
+  // Ties break by (owner, id): the list is built user-major and sorted
+  // stably, and within a user both ids sit in one contiguous range, so this
+  // order is invariant under delta renumbering — a dirty catalog polishes in
+  // exactly the order its compacted twin would.
   std::vector<int32_t> by_weight;
   by_weight.reserve(static_cast<size_t>(catalog.num_live_columns()));
   for (UserId u = 0; u < nu; ++u) {
@@ -96,14 +102,8 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
       by_weight.push_back(j);
     }
   }
-  std::sort(by_weight.begin(), by_weight.end(), [&](int32_t a, int32_t b) {
-    if (weight[static_cast<size_t>(a)] != weight[static_cast<size_t>(b)]) {
-      return weight[static_cast<size_t>(a)] > weight[static_cast<size_t>(b)];
-    }
-    const UserId ua = col_user[static_cast<size_t>(a)];
-    const UserId ub = col_user[static_cast<size_t>(b)];
-    if (ua != ub) return ua < ub;
-    return a < b;
+  SortByWeightDescending(&by_weight, [&](int32_t j) {
+    return weight[static_cast<size_t>(j)];
   });
   const int32_t live_cols = static_cast<int32_t>(by_weight.size());
 
@@ -280,6 +280,12 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
       static_cast<size_t>(num_lanes) * musum_stride, 0.0);
 
   const double step0 = options.step_scale * wmax;
+  // The warm probe's step offset, (|U|/|V|)²/8: 50 at 4,000 users × 200
+  // events. It was fitted on synthetic instances of 1,000 to 16,000 users;
+  // no fixed offset served every size (DESIGN.md S15).
+  const double users_per_event =
+      static_cast<double>(nu) / static_cast<double>(nv);
+  const double probe_offset = users_per_event * users_per_event / 8.0;
   int64_t t = 1;
   std::vector<double> grad(static_cast<size_t>(nv), 0.0);
   for (; t <= options.max_iterations; ++t) {
@@ -383,12 +389,14 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
     }
 
     // ---- Periodic primal extraction & certified-gap check. ----------------
-    // A warm start front-loads one extra check right after the first oracle
-    // sweep: with a near-optimal μ the gap usually certifies immediately, so
-    // a small-delta re-solve costs one sweep over the stale users plus one
-    // primal extraction instead of `check_every` full iterations.
+    // A warm start also checks at the end of every averaging window (t = 1,
+    // 3, 7, 15, …), when the suffix average is as long as it will get before
+    // the restart discards it: with a near-optimal μ the gap usually
+    // certifies after a window or two, so a small-delta re-solve costs a few
+    // sweeps and primal extractions instead of `check_every` iterations.
+    const bool window_ends = t + 1 >= 2 * avg_started_at;
     if (t % options.check_every == 0 || t == options.max_iterations ||
-        (warm_mu_ok && t == 1)) {
+        (warm_mu_ok && window_ends)) {
       const double value = extract_primal();
       if (value > best_primal) {
         best_primal = value;
@@ -400,7 +408,7 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
     }
 
     // ---- Suffix averaging with doubling restarts. --------------------------
-    if (t + 1 >= 2 * avg_started_at) {
+    if (window_ends) {
       std::fill(chosen_count.begin(), chosen_count.end(), 0);
       avg_count = 0;
       avg_started_at = t + 1;
@@ -432,7 +440,13 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
       }
       break;
     }
-    const double step = step0 / std::sqrt(static_cast<double>(t) * gnorm2);
+    // A warm start probes its first two averaging windows with fine steps,
+    // as if `probe_offset` iterations had already run: the full cold step
+    // would throw the warm μ away. From t = 4 on, warm and cold step alike.
+    const double step_t = warm_mu_ok && t <= kProbeIterations
+                              ? static_cast<double>(t) + probe_offset
+                              : static_cast<double>(t);
+    const double step = step0 / std::sqrt(step_t * gnorm2);
     for (EventId v = 0; v < nv; ++v) {
       mu[static_cast<size_t>(v)] = std::max(
           0.0, mu[static_cast<size_t>(v)] - step * grad[static_cast<size_t>(v)]);

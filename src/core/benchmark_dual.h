@@ -66,12 +66,14 @@ struct StructuredDualOptions {
   /// pool's lane count is a pure performance knob: results stay bit-identical
   /// to the self-spawned and serial paths.
   ThreadPool* workers = nullptr;
-  /// Optional warm start (borrowed; must outlive the solve). Seeds μ, enables
-  /// a gap check after the very first iteration, and — when the cached
-  /// choices address this catalog's ids — rescans only stale users at that
-  /// iteration. A warm start never changes what any single iteration
-  /// computes, only where the trajectory starts, so warm results match a cold
-  /// solve within the certified tolerance 2·target_gap (DESIGN.md S15).
+  /// Optional warm start (borrowed; must outlive the solve). Seeds μ, and —
+  /// when the cached choices address this catalog's ids — rescans only stale
+  /// users at the first iteration. A warm solve also checks the gap at the
+  /// end of every averaging window (t = 1, 3, 7, 15, …) and takes fine steps
+  /// over its first two windows (t ≤ 3), as if (|U|/|V|)²/8 iterations had
+  /// already run; from t = 4 on it steps exactly like a cold solve. Both
+  /// primals are certified, so warm results match a cold solve within the
+  /// tolerance 2·target_gap (DESIGN.md S15).
   const DualWarmStart* warm = nullptr;
 };
 

@@ -13,11 +13,13 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "core/lp_packing.h"
+#include "core/polish_order.h"
 #include "core/shard_residency.h"
 #include "core/utility_kernel.h"
 #include "io/catalog_spill.h"
@@ -73,6 +75,27 @@ struct ColumnRef {
   int32_t shard;
   int32_t col;
 };
+
+/// Reorders `refs` in place so that refs[k] becomes the old refs[order[k]],
+/// walking each cycle of the permutation once. Leaves `order` as the
+/// identity.
+void PermuteInPlace(std::vector<int32_t>* order, std::vector<ColumnRef>* refs) {
+  for (size_t i = 0; i < order->size(); ++i) {
+    if ((*order)[i] == static_cast<int32_t>(i)) continue;
+    const ColumnRef first = (*refs)[i];
+    size_t j = i;
+    for (;;) {
+      const auto k = static_cast<size_t>((*order)[j]);
+      (*order)[j] = static_cast<int32_t>(j);
+      if (k == i) {
+        (*refs)[j] = first;
+        break;
+      }
+      (*refs)[j] = (*refs)[k];
+      j = k;
+    }
+  }
+}
 
 /// One level-1 unit: a contiguous user range with its own sub-instance,
 /// catalog and warm-dual state. On the spill path the catalog (and the
@@ -431,16 +454,17 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
     by_weight.insert(by_weight.end(), shard.refs.begin(), shard.refs.end());
     std::vector<ColumnRef>().swap(shard.refs);
   }
-  // (weight desc, owner, col) is a total order — every column has a unique
-  // (owner, col) — so the sorted order is independent of merge order.
-  std::sort(by_weight.begin(), by_weight.end(),
-            [](const ColumnRef& a, const ColumnRef& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              if (a.global_user != b.global_user) {
-                return a.global_user < b.global_user;
-              }
-              return a.col < b.col;
-            });
+  // Shards own ascending user ranges and list their columns user-major, so
+  // the concatenation is in (owner, col) order and the stable weight sort
+  // yields the total (weight desc, owner, col) order. It sorts positions and
+  // then permutes the refs in place, so its scratch is 8 bytes per column
+  // rather than a second copy of the refs.
+  std::vector<int32_t> order(by_weight.size());
+  std::iota(order.begin(), order.end(), 0);
+  SortByWeightDescending(&order, [&](int32_t k) {
+    return by_weight[static_cast<size_t>(k)].weight;
+  });
+  PermuteInPlace(&order, &by_weight);
   if (wmax <= 0.0) wmax = 1.0;
 
   // ---- Catalog access: one lane contract for both residency modes. ---------

@@ -265,6 +265,32 @@ TEST(UtilityKernelTest, InterestOnlyKernelDivergesOnSyntheticInstance) {
 
 // ---- weight deltas: touched-column-only re-scoring -------------------------
 
+/// u's bids in enumeration order: heaviest pair weight first, ties by the
+/// lower event id (the catalog's canonical bid order).
+std::vector<EventId> BidsByWeight(const Instance& instance, UserId u) {
+  std::vector<EventId> bids = instance.bids(u);
+  std::stable_sort(bids.begin(), bids.end(), [&](EventId a, EventId b) {
+    return instance.PairWeight(a, u) > instance.PairWeight(b, u);
+  });
+  return bids;
+}
+
+/// The raw arrays of two canonical catalogs are identical.
+void ExpectSameCatalog(const AdmissibleCatalog& a, const AdmissibleCatalog& b) {
+  EXPECT_EQ(a.pool(), b.pool());
+  EXPECT_EQ(a.col_begin(), b.col_begin());
+  EXPECT_EQ(a.user_begin(), b.user_begin());
+  EXPECT_EQ(a.weights(), b.weights());
+  EXPECT_EQ(a.col_users(), b.col_users());
+  ASSERT_EQ(a.num_events(), b.num_events());
+  for (EventId v = 0; v < a.num_events(); ++v) {
+    const auto ca = a.columns_of_event(v);
+    const auto cb = b.columns_of_event(v);
+    EXPECT_TRUE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()))
+        << "event " << v;
+  }
+}
+
 TEST(UtilityKernelTest, InterestDriftRescoresOnlyColumnsContainingTheEvent) {
   auto instance = MediumInstance(13);
   ASSERT_TRUE(instance.ok());
@@ -272,21 +298,27 @@ TEST(UtilityKernelTest, InterestDriftRescoresOnlyColumnsContainingTheEvent) {
   const auto weights_before = catalog.weights();
   const uint64_t ids_before = catalog.ids_revision();
 
-  // Pick a user and one of their bid events.
+  // Pick a user with two or more bids and raise the interest of the bid
+  // that is already heaviest: the bid order, hence the enumeration, stays.
   UserId u = -1;
   EventId v = -1;
   for (UserId cand = 0; cand < instance->num_users(); ++cand) {
-    if (!instance->bids(cand).empty()) {
+    if (instance->bids(cand).size() < 2) continue;
+    const EventId top = BidsByWeight(*instance, cand).front();
+    if (instance->Interest(top, cand) < 1.0) {
       u = cand;
-      v = instance->bids(cand).front();
+      v = top;
       break;
     }
   }
   ASSERT_GE(u, 0);
+  const std::vector<EventId> order_before = BidsByWeight(*instance, u);
 
   InstanceDelta delta;
-  delta.interest_updates.push_back({v, u, 0.987});
+  delta.interest_updates.push_back(
+      {v, u, (instance->Interest(v, u) + 1.0) / 2.0});
   ASSERT_TRUE(ApplyDelta(&*instance, delta).ok());
+  ASSERT_EQ(BidsByWeight(*instance, u), order_before);
   auto result = catalog.ApplyDelta(*instance, delta, {});
   ASSERT_TRUE(result.ok());
 
@@ -310,9 +342,7 @@ TEST(UtilityKernelTest, InterestDriftRescoresOnlyColumnsContainingTheEvent) {
   EXPECT_EQ(catalog.weight_revision(), 1u);
 
   // Every re-scored weight is exactly the kernel's score of its span against
-  // the mutated instance. (A full rebuild is NOT the right reference here:
-  // drift changes u's bid ordering, so Build would emit u's columns in a
-  // different order; the in-place re-score keeps span structure fixed.)
+  // the mutated instance, and the whole catalog is the one Build emits.
   for (int32_t j = 0; j < catalog.num_columns(); ++j) {
     double direct = 0.0;
     for (EventId e : catalog.set(j)) {
@@ -320,6 +350,7 @@ TEST(UtilityKernelTest, InterestDriftRescoresOnlyColumnsContainingTheEvent) {
     }
     EXPECT_EQ(catalog.weight(j), direct) << "column " << j;
   }
+  ExpectSameCatalog(catalog, AdmissibleCatalog::Build(*instance, {}));
   // Untouched weights are bit-identical to before.
   int32_t changed = 0;
   for (int32_t j = 0; j < catalog.num_columns(); ++j) {
@@ -329,6 +360,104 @@ TEST(UtilityKernelTest, InterestDriftRescoresOnlyColumnsContainingTheEvent) {
     }
   }
   EXPECT_LE(changed, expected);
+}
+
+TEST(UtilityKernelTest, InterestDriftThatReordersBidsReenumeratesTheUser) {
+  auto instance = MediumInstance(13);
+  ASSERT_TRUE(instance.ok());
+  auto catalog = AdmissibleCatalog::Build(*instance, {});
+
+  // Raise the lightest bid of a user with two or more bids to full
+  // interest: it becomes the heaviest, so the user's bid order changes.
+  UserId u = -1;
+  EventId v = -1;
+  for (UserId cand = 0; cand < instance->num_users(); ++cand) {
+    if (instance->bids(cand).size() >= 2) {
+      u = cand;
+      v = BidsByWeight(*instance, cand).back();
+      break;
+    }
+  }
+  ASSERT_GE(u, 0);
+  const std::vector<EventId> order_before = BidsByWeight(*instance, u);
+  const int32_t sets_before = catalog.num_sets(u);
+
+  InstanceDelta delta;
+  delta.interest_updates.push_back({v, u, 1.0});
+  ASSERT_TRUE(ApplyDelta(&*instance, delta).ok());
+  ASSERT_NE(BidsByWeight(*instance, u), order_before);
+  auto result = catalog.ApplyDelta(*instance, delta, {});
+  ASSERT_TRUE(result.ok());
+
+  // The user is re-enumerated like a registration, not re-scored in place.
+  EXPECT_EQ(result->touched_users, std::vector<UserId>{u});
+  EXPECT_TRUE(result->rescored_users.empty());
+  EXPECT_EQ(result->columns_rescored, 0);
+  EXPECT_EQ(result->columns_tombstoned, sets_before);
+  EXPECT_EQ(result->columns_appended, catalog.num_sets(u));
+  EXPECT_FALSE(catalog.canonical());
+
+  // Compacted, the catalog is the one Build emits for the mutated instance,
+  // so column ids stored against it mean the same sets after a rebuild.
+  catalog.Compact();
+  ExpectSameCatalog(catalog, AdmissibleCatalog::Build(*instance, {}));
+}
+
+TEST(UtilityKernelTest, WeightDeltasOnTruncatedUsersStillMatchRebuild) {
+  // Under a set cap most users are truncated: their blocks lack the
+  // singletons of their lighter bids, so the catalog compares such a user
+  // against a fresh enumeration to decide between re-scoring and
+  // re-enumerating.
+  auto instance = MediumInstance(19);
+  ASSERT_TRUE(instance.ok());
+  CatalogDeltaOptions options;
+  options.admissible.max_sets_per_user = 2;
+  auto catalog = AdmissibleCatalog::Build(*instance, options.admissible);
+  UserId u = -1;
+  for (UserId cand = 0; cand < instance->num_users(); ++cand) {
+    if (catalog.truncated(cand) && instance->bids(cand).size() >= 3 &&
+        instance->Interest(BidsByWeight(*instance, cand).front(), cand) <
+            1.0) {
+      u = cand;
+      break;
+    }
+  }
+  ASSERT_GE(u, 0);
+
+  // Raising the heaviest bid keeps the order: re-scored in place.
+  const EventId top = BidsByWeight(*instance, u).front();
+  InstanceDelta keep;
+  keep.interest_updates.push_back(
+      {top, u, (instance->Interest(top, u) + 1.0) / 2.0});
+  ASSERT_TRUE(ApplyDelta(&*instance, keep).ok());
+  auto kept = catalog.ApplyDelta(*instance, keep, options);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_TRUE(kept->touched_users.empty());
+  EXPECT_EQ(kept->rescored_users, std::vector<UserId>{u});
+  EXPECT_TRUE(catalog.canonical());
+  ExpectSameCatalog(catalog, AdmissibleCatalog::Build(*instance,
+                                                      options.admissible));
+
+  // The lightest bid, which the cap left without a column, becomes the
+  // heaviest: no column changes weight, yet the block must be re-enumerated.
+  const EventId bottom = BidsByWeight(*instance, u).back();
+  bool in_block = false;
+  for (int32_t j = catalog.user_columns_begin(u);
+       j < catalog.user_columns_end(u); ++j) {
+    const auto span = catalog.set(j);
+    in_block |= std::binary_search(span.begin(), span.end(), bottom);
+  }
+  EXPECT_FALSE(in_block);
+  InstanceDelta reorder;
+  reorder.interest_updates.push_back({bottom, u, 1.0});
+  ASSERT_TRUE(ApplyDelta(&*instance, reorder).ok());
+  auto moved = catalog.ApplyDelta(*instance, reorder, options);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->touched_users, std::vector<UserId>{u});
+  EXPECT_TRUE(moved->rescored_users.empty());
+  catalog.Compact();
+  ExpectSameCatalog(catalog, AdmissibleCatalog::Build(*instance,
+                                                      options.admissible));
 }
 
 TEST(UtilityKernelTest, GraphEdgeRescoresBothEndpointsEntirely) {

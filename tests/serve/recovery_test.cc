@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -105,43 +106,55 @@ EndState CaptureEndState(const ArrangementService& service) {
   return state;
 }
 
-// The core guarantee, exercised at EVERY kill point of a 9-epoch run: crash
-// after epoch k (for all k), recover, finish the stream — the end state is
-// bit-identical to the uninterrupted run, and so is the final checkpoint
-// file. checkpoint_every=2 makes the kill points alternate between
-// "checkpoint just fired, WAL empty" and "WAL holds a tail to replay".
-TEST(RecoveryTest, EveryKillPointRecoversBitIdentically) {
-  const core::Instance base = MakeInstance(160, 51);
-  const auto deltas = MakeDeltas(base, 9, 52);
-  ASSERT_EQ(deltas.size(), 9u);
+using Batches = std::vector<std::vector<core::InstanceDelta>>;
 
-  const std::string ref_dir = StateDir("recovery_ref");
-  auto reference = ArrangementService::Create(base, DurableOptions(ref_dir));
+/// Drives epochs [first, first + count) through the service, one batch of
+/// `batches` per epoch.
+void RunBatches(ArrangementService* service, const Batches& batches,
+                size_t first, size_t count) {
+  for (size_t i = first; i < first + count; ++i) {
+    for (const core::InstanceDelta& delta : batches[i]) {
+      ASSERT_TRUE(service->Submit(delta).ok());
+    }
+    auto metrics = service->RunEpoch();
+    ASSERT_TRUE(metrics.ok()) << "epoch " << i << ": "
+                              << metrics.status().ToString();
+  }
+}
+
+/// Crash after epoch k for every k, recover, finish the stream: the end
+/// state is bit-identical to the uninterrupted run, and so is the final
+/// checkpoint file — the whole serialized engine state (RNG stream, warm
+/// duals, rounding state, LP vectors, counters, instance), byte for byte.
+/// Dropping the service IS the kill: every WAL append and checkpoint is
+/// already fsync'd, nothing is flushed at destruction.
+void ExpectEveryKillPointRecovers(const core::Instance& base,
+                                  const Batches& batches,
+                                  ServeOptions options,
+                                  const std::string& name) {
+  options.durable_dir = StateDir(name + "_ref");
+  auto reference = ArrangementService::Create(base, options);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  RunEpochs(reference->get(), deltas, 0, deltas.size());
+  RunBatches(reference->get(), batches, 0, batches.size());
   ASSERT_TRUE((*reference)->Checkpoint().ok());
   const EndState want = CaptureEndState(**reference);
   const std::string want_snapshot =
-      FileBytes(Checkpointer::SnapshotPath(ref_dir));
+      FileBytes(Checkpointer::SnapshotPath(options.durable_dir));
 
-  for (size_t kill = 0; kill <= deltas.size(); ++kill) {
-    const std::string dir =
-        StateDir("recovery_kill_" + std::to_string(kill));
-    const ServeOptions options = DurableOptions(dir);
+  int64_t deltas_before_kill = 0;
+  for (size_t kill = 0; kill <= batches.size(); ++kill) {
+    options.durable_dir = StateDir(name + "_kill_" + std::to_string(kill));
     {
       auto service = ArrangementService::Create(base, options);
       ASSERT_TRUE(service.ok());
-      RunEpochs(service->get(), deltas, 0, kill);
-      // Dropping the service here IS the kill: every WAL append and
-      // checkpoint is already fsync'd, nothing is flushed at destruction.
+      RunBatches(service->get(), batches, 0, kill);
     }
     auto recovered = ArrangementService::Recover(options);
     ASSERT_TRUE(recovered.ok())
         << "kill after epoch " << kill << ": "
         << recovered.status().ToString();
-    EXPECT_EQ((*recovered)->Stats().deltas_applied,
-              static_cast<int64_t>(kill));
-    RunEpochs(recovered->get(), deltas, kill, deltas.size() - kill);
+    EXPECT_EQ((*recovered)->Stats().deltas_applied, deltas_before_kill);
+    RunBatches(recovered->get(), batches, kill, batches.size() - kill);
     ASSERT_TRUE((*recovered)->Checkpoint().ok());
 
     const EndState got = CaptureEndState(**recovered);
@@ -149,11 +162,75 @@ TEST(RecoveryTest, EveryKillPointRecoversBitIdentically) {
     EXPECT_EQ(got.lp_objective, want.lp_objective) << "kill " << kill;
     EXPECT_EQ(got.utility, want.utility) << "kill " << kill;
     EXPECT_EQ(got.pairs, want.pairs) << "kill " << kill;
-    // The whole serialized engine state agrees, byte for byte: RNG stream,
-    // warm duals, rounding state, LP vectors, counters, instance.
-    EXPECT_EQ(FileBytes(Checkpointer::SnapshotPath(dir)), want_snapshot)
+    EXPECT_EQ(FileBytes(Checkpointer::SnapshotPath(options.durable_dir)),
+              want_snapshot)
         << "kill " << kill;
+    if (kill < batches.size()) {
+      deltas_before_kill += static_cast<int64_t>(batches[kill].size());
+    }
   }
+}
+
+// The core guarantee, exercised at EVERY kill point of a 9-epoch run.
+// checkpoint_every=2 makes the kill points alternate between "checkpoint
+// just fired, WAL empty" and "WAL holds a tail to replay".
+TEST(RecoveryTest, EveryKillPointRecoversBitIdentically) {
+  const core::Instance base = MakeInstance(160, 51);
+  const auto deltas = MakeDeltas(base, 9, 52);
+  ASSERT_EQ(deltas.size(), 9u);
+  Batches batches;
+  for (const core::InstanceDelta& delta : deltas) batches.push_back({delta});
+  ExpectEveryKillPointRecovers(base, batches, DurableOptions(""), "recovery");
+}
+
+// The same sweep over the stream of `igepa serve --events 40 --users 250
+// --p-interest 0.2 --p-edge 0.1 --count 60 --seed 11 --max-batch 8
+// --checkpoint-every 2`, batched into its 9 epochs the way the CLI's
+// virtual-time loop cuts them. Its interest drifts reorder users' bids, so
+// the catalog re-enumerates those users instead of re-scoring them in
+// place; otherwise a checkpoint's column ids would address a layout that
+// recovery's rebuilt catalog does not have.
+TEST(RecoveryTest, EveryKillPointRecoversUnderBidReorderingDrift) {
+  Rng rng(11);
+  gen::SyntheticConfig instance_config;
+  instance_config.num_events = 40;
+  instance_config.num_users = 250;
+  auto base = gen::GenerateSynthetic(instance_config, &rng);
+  ASSERT_TRUE(base.ok());
+  gen::ArrivalProcessConfig stream_config;
+  stream_config.num_arrivals = 60;
+  stream_config.rate_per_second = 200.0;
+  stream_config.p_graph_edge = 0.1;
+  stream_config.p_interest_drift = 0.2;
+  stream_config.p_register = 1.0 - stream_config.p_cancel -
+                             stream_config.p_event_capacity -
+                             stream_config.p_graph_edge -
+                             stream_config.p_interest_drift;
+  const auto arrivals =
+      gen::GenerateArrivalProcess(*base, stream_config, &rng);
+
+  // Virtual time: an epoch closes when an arrival falls past its 100 ms
+  // window or when 8 deltas are pending.
+  constexpr double kWindow = 0.1;
+  constexpr size_t kMaxBatch = 8;
+  Batches batches(1);
+  double window_end = kWindow;
+  for (const core::ArrivalEvent& arrival : arrivals) {
+    if (!batches.back().empty() && arrival.at_seconds >= window_end) {
+      batches.emplace_back();
+    }
+    if (arrival.at_seconds >= window_end) {
+      window_end = (std::floor(arrival.at_seconds / kWindow) + 1.0) * kWindow;
+    }
+    batches.back().push_back(arrival.delta);
+    if (batches.back().size() >= kMaxBatch) batches.emplace_back();
+  }
+  if (batches.back().empty()) batches.pop_back();
+  ASSERT_EQ(batches.size(), 9u);
+
+  ServeOptions options = DurableOptions("");
+  options.seed = 11 ^ 0x9E3779B97F4A7C15ULL;
+  ExpectEveryKillPointRecovers(*base, batches, options, "recovery_drift");
 }
 
 // Recovery replays through compaction: with every tombstoning epoch forcing a
