@@ -76,22 +76,6 @@ void BM_BuildAdmissibleCatalog(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildAdmissibleCatalog)->Arg(500)->Arg(1000)->Arg(2000);
 
-// Everything the generic-facade tier must do before the LP solve can start
-// on the 1k-user synthetic instance: the catalog's flat arena IS the
-// structured solver's input (compare against BM_BuildAdmissibleCatalog/1000);
-// only this tier additionally materializes an lp::LpModel.
-void BM_CatalogEnumerateAndLpBuildFacade(benchmark::State& state) {
-  const auto instance = MakeInstance(static_cast<int32_t>(state.range(0)));
-  core::AdmissibleOptions options;
-  options.num_threads = 1;
-  for (auto _ : state) {
-    auto catalog = core::AdmissibleCatalog::Build(instance, options);
-    auto bench = core::BuildBenchmarkLp(instance, catalog);
-    benchmark::DoNotOptimize(bench);
-  }
-}
-BENCHMARK(BM_CatalogEnumerateAndLpBuildFacade)->Arg(1000);
-
 void BM_RoundFractionalCatalog(benchmark::State& state) {
   const auto instance = MakeInstance(static_cast<int32_t>(state.range(0)));
   const auto catalog = core::AdmissibleCatalog::Build(instance, {});

@@ -2,14 +2,15 @@
 """Compare a bench_micro_core run against the committed baseline.
 
 Reads two google-benchmark JSON files and compares per-benchmark real_time
-on the benchmarks selected by --filter (default: the catalog enumeration /
-LP-build families, which are the perf trajectory this repo tracks — see
-BENCH_micro_core.json at the repo root). Regressions beyond --warn print a
-warning; beyond --fail the script exits nonzero. Benchmarks present on only
-one side are classified as added (current only) or removed (baseline only):
-both are listed and counted as warnings so a renamed or dropped benchmark is
-visible in the gate output, but neither fails the run — landing a new
-benchmark (or retiring one) must not need a simultaneous baseline update.
+on the benchmarks selected by --filter (default: the catalog enumeration,
+LP-solve, rounding and serving families, which are the perf trajectory this
+repo tracks — see BENCH_micro_core.json at the repo root). Regressions
+beyond --warn print a warning; beyond --fail the script exits nonzero.
+Benchmarks present on only one side are classified as added (current only)
+or removed (baseline only): both are listed and counted as warnings so a
+renamed or dropped benchmark is visible in the gate output, but neither fails
+the run — landing a new benchmark (or retiring one) must not need a
+simultaneous baseline update.
 
 The current run is additionally checked for multicore scaling regressions:
 every `BM_*Threads*/N` family must not get SLOWER as N grows — the widest
@@ -30,9 +31,9 @@ import re
 import sys
 
 DEFAULT_FILTER = (
-    r"^(BM_(BuildAdmissibleCatalog|CatalogEnumerateAndLpBuildFacade|"
-    r"StructuredDualThreads|RoundFractionalCatalog|LpPackingEndToEnd|"
-    r"CatalogApplyDelta|StructuredDualWarmVsCold|ServeEpoch|ServePipelined|"
+    r"^(BM_(BuildAdmissibleCatalog|StructuredDualThreads|"
+    r"RoundFractionalCatalog|LpPackingEndToEnd|CatalogApplyDelta|"
+    r"StructuredDualWarmVsCold|ServeEpoch|ServePipelined|"
     r"KernelRescore|CatalogBuildThreads|ScoreColumnsSoA|ShardedSolve)|"
     r"LT_Serve(EpochLatency|PublishLatency|StageIngest|StageSolve|"
     r"StageCommit))"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "core/polish_order.h"
@@ -141,7 +142,7 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
   std::vector<double> user_mass(static_cast<size_t>(nu), 0.0);
   std::vector<double> best_x(static_cast<size_t>(cols), 0.0);
   double best_primal = 0.0;
-  double best_ub = lp::kInf;
+  double best_ub = std::numeric_limits<double>::infinity();
   int64_t avg_started_at = 1;
   int64_t avg_count = 0;
 
@@ -279,7 +280,6 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
   std::vector<double> lane_musum(
       static_cast<size_t>(num_lanes) * musum_stride, 0.0);
 
-  const double step0 = options.step_scale * wmax;
   // The warm probe's step offset, (|U|/|V|)²/8: 50 at 4,000 users × 200
   // events. It was fitted on synthetic instances of 1,000 to 16,000 users;
   // no fixed offset served every size (DESIGN.md S15).
@@ -393,9 +393,9 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
     // 3, 7, 15, …), when the suffix average is as long as it will get before
     // the restart discards it: with a near-optimal μ the gap usually
     // certifies after a window or two, so a small-delta re-solve costs a few
-    // sweeps and primal extractions instead of `check_every` iterations.
+    // sweeps and primal extractions instead of kGapCheckEvery iterations.
     const bool window_ends = t + 1 >= 2 * avg_started_at;
-    if (t % options.check_every == 0 || t == options.max_iterations ||
+    if (t % kGapCheckEvery == 0 || t == options.max_iterations ||
         (warm_mu_ok && window_ends)) {
       const double value = extract_primal();
       if (value > best_primal) {
@@ -446,7 +446,7 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
     const double step_t = warm_mu_ok && t <= kProbeIterations
                               ? static_cast<double>(t) + probe_offset
                               : static_cast<double>(t);
-    const double step = step0 / std::sqrt(step_t * gnorm2);
+    const double step = wmax / std::sqrt(step_t * gnorm2);
     for (EventId v = 0; v < nv; ++v) {
       mu[static_cast<size_t>(v)] = std::max(
           0.0, mu[static_cast<size_t>(v)] - step * grad[static_cast<size_t>(v)]);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/admissible_catalog.h"
-#include "core/benchmark_lp.h"
 #include "core/instance.h"
 #include "lp/solution.h"
 #include "util/result.h"
@@ -43,16 +42,16 @@ struct DualWarmStart {
              uint64_t new_ids_revision);
 };
 
+/// Iterations between primal extractions and certified-gap checks, shared by
+/// the structured dual and ShardedSolve's level-2 coordination.
+inline constexpr int64_t kGapCheckEvery = 25;
+
 /// Options for the structured benchmark-LP solver.
 struct StructuredDualOptions {
   /// Target certified relative duality gap.
   double target_gap = 0.01;
   /// Dual (subgradient) iteration budget.
   int64_t max_iterations = 4000;
-  /// Initial step-size scale.
-  double step_scale = 1.0;
-  /// Iterations between primal extractions / gap checks.
-  int64_t check_every = 25;
   /// Worker threads for the sharded oracle sweep (0 = hardware concurrency).
   /// Users are partitioned into fixed-size shards whose partial sums merge
   /// serially in shard order, so results are bit-identical for every thread
@@ -86,11 +85,13 @@ struct StructuredDualOptions {
 ///
 /// which is an upper bound on LP (1)-(4) for every μ >= 0. Projected
 /// subgradient descent over the (small) μ space converges far faster than
-/// dualizing all |U|+|V| rows (lp::PackingDualSolver), which is what makes
-/// Fig. 1(b)'s |U| = 10⁴ sweep tractable. The primal is recovered from
-/// suffix-averaged oracle choices (a per-user distribution over admissible
-/// sets, automatically satisfying (2)), repaired by per-column scaling on
-/// violated event rows and polished by a capacity-aware greedy fill.
+/// dualizing all |U|+|V| rows, which is what makes Fig. 1(b)'s |U| = 10⁴
+/// sweep tractable. It is the library's only LP solver; the exact simplex
+/// that brackets its certificate lives in tests/oracle/. The primal is
+/// recovered from suffix-averaged oracle choices (a per-user distribution
+/// over admissible sets, automatically satisfying (2)), repaired by
+/// per-column scaling on violated event rows and polished by a
+/// capacity-aware greedy fill.
 ///
 /// Returns an lp::LpSolution over the catalog's columns: `x` is feasible for
 /// (1)-(4), `upper_bound` = min_t L(μ_t) certifies the gap, and `duals`

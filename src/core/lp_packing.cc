@@ -51,50 +51,9 @@ Result<FractionalSolution> SolveBenchmarkLpForPacking(
     return Status::InvalidArgument("catalog size mismatch");
   }
   FractionalSolution fractional;
-  bool structured = false;
-  switch (options.benchmark_solver) {
-    case BenchmarkSolverKind::kLpFacade:
-      structured = false;
-      break;
-    case BenchmarkSolverKind::kStructuredDual:
-      structured = true;
-      break;
-    case BenchmarkSolverKind::kAuto: {
-      // Same cell count the legacy path derived from the materialized model
-      // (rows = |U|+|V|), computed here without materializing anything.
-      const int64_t cells =
-          (static_cast<int64_t>(instance.num_users()) + instance.num_events()) *
-          catalog.num_columns();
-      structured = cells > options.solver.dense_cell_limit;
-      break;
-    }
-  }
-  // The materialized facade model assumes model column k == catalog column k,
-  // which only holds on a canonical catalog; a delta-mutated one routes to
-  // the structured solver, which walks live ranges directly.
-  if (!catalog.canonical()) {
-    if (options.benchmark_solver == BenchmarkSolverKind::kLpFacade) {
-      return Status::FailedPrecondition(
-          "kLpFacade requires a canonical (compacted) catalog");
-    }
-    structured = true;
-  }
-  if (structured) {
-    IGEPA_ASSIGN_OR_RETURN(
-        fractional.lp,
-        SolveBenchmarkLpStructured(instance, catalog, options.structured));
-    fractional.structured = true;
-  } else {
-    fractional.bench = BuildBenchmarkLp(instance, catalog);
-    IGEPA_ASSIGN_OR_RETURN(fractional.lp,
-                           lp::SolveLp(fractional.bench.model, options.solver));
-  }
-  if (fractional.lp.status != lp::SolveStatus::kOptimal &&
-      fractional.lp.status != lp::SolveStatus::kApproximate &&
-      fractional.lp.status != lp::SolveStatus::kIterationLimit) {
-    return Status::Internal(std::string("benchmark LP solve failed: ") +
-                            lp::SolveStatusToString(fractional.lp.status));
-  }
+  IGEPA_ASSIGN_OR_RETURN(
+      fractional.lp,
+      SolveBenchmarkLpStructured(instance, catalog, options.structured));
   return fractional;
 }
 
@@ -122,11 +81,6 @@ Result<Arrangement> RoundFractional(const Instance& instance,
     stats->lp_objective = lp_sol.objective;
     stats->lp_upper_bound = lp_sol.upper_bound;
     stats->lp_iterations = lp_sol.iterations;
-    stats->used_structured_dual = fractional.structured;
-    if (!fractional.structured) {
-      stats->solver_used = lp::ChooseSolver(fractional.bench.model,
-                                            options.solver);
-    }
     stats->num_columns = catalog.num_live_columns();
     stats->admissible_truncated = catalog.any_truncated();
   }
@@ -572,7 +526,6 @@ Result<Arrangement> RoundFractionalDelta(
     stats->lp_objective = lp_sol.objective;
     stats->lp_upper_bound = lp_sol.upper_bound;
     stats->lp_iterations = lp_sol.iterations;
-    stats->used_structured_dual = fractional.structured;
     stats->num_columns = catalog.num_live_columns();
     stats->admissible_truncated = catalog.any_truncated();
     stats->users_sampled = static_cast<int32_t>(std::count_if(

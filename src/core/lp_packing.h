@@ -8,9 +8,8 @@
 #include "core/admissible_catalog.h"
 #include "core/arrangement.h"
 #include "core/benchmark_dual.h"
-#include "core/benchmark_lp.h"
 #include "core/instance.h"
-#include "lp/solver.h"
+#include "lp/solution.h"
 #include "util/result.h"
 #include "util/rng.h"
 
@@ -28,29 +27,12 @@ enum class RepairOrder : uint8_t {
   kWeightDesc,
 };
 
-/// How line 1 of Algorithm 1 solves the benchmark LP.
-enum class BenchmarkSolverKind : uint8_t {
-  /// Exact dense simplex while the tableau fits (small instances), the
-  /// structured Lagrangian solver beyond that. The right default.
-  kAuto,
-  /// Always route through the generic lp:: facade (exact simplex tiers or the
-  /// generic packing dual, per lp::LpSolverOptions).
-  kLpFacade,
-  /// Always use the structured block-angular solver (benchmark_dual.h).
-  kStructuredDual,
-};
-
 /// Options for LpPacking.
 struct LpPackingOptions {
   /// Sampling scale α of Algorithm 1, in (0, 1]. The approximation proof uses
   /// α = 1/2 (ratio α(1-α) >= 1/4); the paper's experiments set α = 1.
   double alpha = 1.0;
-  /// Which engine solves the benchmark LP.
-  BenchmarkSolverKind benchmark_solver = BenchmarkSolverKind::kAuto;
-  /// Generic lp:: engine selection (used by kLpFacade, and by kAuto below the
-  /// dense-tableau threshold).
-  lp::LpSolverOptions solver;
-  /// Structured-solver options (used by kStructuredDual / large kAuto).
+  /// Options of the structured dual that solves line 1 (benchmark_dual.h).
   StructuredDualOptions structured;
   /// Admissible-set enumeration controls.
   AdmissibleOptions admissible;
@@ -61,7 +43,7 @@ struct LpPackingOptions {
   /// counts — exact in any order), and capacity repair resolves per event
   /// through the inverted event→column index, so the arrangement is
   /// bit-identical for every thread count (threads=1 runs the same structure
-  /// inline). The LP tier and enumeration read their own knobs
+  /// inline). The LP solve and enumeration read their own knobs
   /// (`structured.num_threads`, `admissible.num_threads`).
   int32_t num_threads = 0;
   /// Optional caller-owned worker pool for the rounding/repair sweeps
@@ -80,10 +62,6 @@ struct LpPackingStats {
   /// the IGEPA optimum, up to the admissible-set cap).
   double lp_upper_bound = 0.0;
   int64_t lp_iterations = 0;
-  lp::SolverKind solver_used = lp::SolverKind::kAuto;
-  /// True when the structured block-angular solver handled line 1 (then
-  /// solver_used is meaningless).
-  bool used_structured_dual = false;
   int32_t num_columns = 0;
   /// Users whose sampled set was non-empty (before repair).
   int32_t users_sampled = 0;
@@ -99,10 +77,13 @@ struct LpPackingStats {
 /// Internally enumerates into an AdmissibleCatalog and runs the flat
 /// pipeline; results are bit-identical to the legacy nested path.
 ///
-/// The returned arrangement is always feasible (CheckFeasible passes). With
-/// α = 1/2 and the exact LP tier, the expected utility is at least OPT/4
-/// (Theorem 2); with the approximate LP tier the bound scales by the
-/// certified (1 - gap).
+/// The returned arrangement is always feasible (CheckFeasible passes).
+/// Theorem 2 gives E[utility] >= α(1-α)·LP* >= OPT/4 at α = 1/2, where LP* is
+/// the exact LP optimum. Line 1 is solved by the structured dual, whose
+/// objective a kApproximate status certifies within `structured.target_gap`
+/// of LP*, so the bound holds scaled by (1 - gap). The tests check both
+/// against an exact simplex oracle (tests/core/theory_test.cc,
+/// tests/core/benchmark_dual_test.cc).
 Result<Arrangement> LpPacking(const Instance& instance, Rng* rng,
                               const LpPackingOptions& options = {},
                               LpPackingStats* stats = nullptr);
@@ -121,18 +102,16 @@ Result<Arrangement> LpPackingWithCatalog(const Instance& instance,
 /// experiment harnesses solve it once per instance and re-round many times
 /// (this is how the paper's 50-repetition real-dataset protocol stays cheap).
 struct FractionalSolution {
-  /// Materialized model + column bookkeeping — only filled when the generic
-  /// lp:: facade solved line 1 (the structured solver reads the catalog CSR
-  /// directly and leaves it empty).
-  BenchmarkLp bench;
   lp::LpSolution lp;
-  /// True when the structured block-angular solver produced `lp`.
-  bool structured = false;
+  /// Always true: the structured dual is the library's only LP solver. The
+  /// library neither reads nor writes it; it is kept only because the
+  /// end-to-end benchmark (e2ebench/) reads and writes it.
+  bool structured = true;
 };
 
-/// Line 1 of Algorithm 1 over the catalog: solve the benchmark LP (1)-(4),
-/// routing to the structured CSR solver or materializing a model for the
-/// generic facade per `options.benchmark_solver`.
+/// Line 1 of Algorithm 1 over the catalog: solve the benchmark LP (1)-(4)
+/// with the structured dual (SolveBenchmarkLpStructured on
+/// `options.structured`), after checking `alpha` and the catalog's shape.
 Result<FractionalSolution> SolveBenchmarkLpForPacking(
     const Instance& instance, const AdmissibleCatalog& catalog,
     const LpPackingOptions& options = {});

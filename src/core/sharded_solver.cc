@@ -30,6 +30,11 @@ namespace igepa {
 namespace core {
 namespace {
 
+/// Level-2 coordination: target certified relative duality gap on the global
+/// benchmark LP, and its iteration budget.
+constexpr double kCoordinationGap = 0.01;
+constexpr int64_t kCoordinationMaxIterations = 3000;
+
 /// Interest/interaction adapters that serve a shard's local user ids by
 /// delegating to the parent instance at `base + local_u` — overlays
 /// (UpdateInterest drift) included, so shard catalogs score exactly the
@@ -248,11 +253,6 @@ Status ValidateOptions(const ShardedSolveOptions& options) {
   }
   if (!(options.alpha > 0.0 && options.alpha <= 1.0)) {
     return Status::InvalidArgument("alpha must be in (0, 1]");
-  }
-  if (options.coordination_gap <= 0.0 ||
-      options.coordination_max_iterations < 1 || options.check_every < 1 ||
-      options.step_scale <= 0.0) {
-    return Status::InvalidArgument("invalid coordination parameters");
   }
   return Status::OK();
 }
@@ -713,7 +713,7 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
 
   std::vector<Status> sweep_status(static_cast<size_t>(num_shards),
                                    Status::OK());
-  for (int64_t t = 1; t <= options.coordination_max_iterations; ++t) {
+  for (int64_t t = 1; t <= kCoordinationMaxIterations; ++t) {
     iterations_run = t;
     // The serial accessor's lease must drop before the parallel sweep: at
     // max_pinned == 1 a pin held across the ParallelFor would block every
@@ -793,8 +793,8 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
     best_ub = std::min(best_ub, lagrangian);
 
     bool done = false;
-    if (t % options.check_every == 0 || t == 1 ||
-        t == options.coordination_max_iterations) {
+    if (t % kGapCheckEvery == 0 || t == 1 ||
+        t == kCoordinationMaxIterations) {
       const int64_t avg_count = t - avg_started_at + 1;
       IGEPA_ASSIGN_OR_RETURN(const double objective,
                              extract_primal(avg_count));
@@ -805,7 +805,7 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
         }
       }
       gap = (best_ub - best_primal) / std::max(1.0, std::abs(best_ub));
-      if (gap <= options.coordination_gap) done = true;
+      if (gap <= kCoordinationGap) done = true;
     }
     if (done) break;
 
@@ -840,8 +840,7 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
       break;
     }
     const double step =
-        options.step_scale * wmax /
-        std::sqrt(static_cast<double>(t) * gnorm2);
+        wmax / std::sqrt(static_cast<double>(t) * gnorm2);
     for (EventId v = 0; v < nv; ++v) {
       mu[static_cast<size_t>(v)] = std::max(
           0.0, mu[static_cast<size_t>(v)] - step * factor[static_cast<size_t>(v)]);

@@ -37,13 +37,6 @@ struct ShardedSolveOptions {
   /// Loose by default — level 1 only needs a good starting μ, level 2 owns
   /// the certified gap.
   StructuredDualOptions level1;
-  /// Level-2 coordination: target certified relative duality gap on the
-  /// *global* benchmark LP, iteration budget, primal-extraction cadence and
-  /// subgradient step scale (same roles as StructuredDualOptions).
-  double coordination_gap = 0.01;
-  int64_t coordination_max_iterations = 3000;
-  int64_t check_every = 25;
-  double step_scale = 1.0;
   /// Worker threads across shards (0 = hardware concurrency). Per-shard
   /// partials always merge in shard order, so results are bit-identical for
   /// every thread count at a fixed shard count (pinned by test).

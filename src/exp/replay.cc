@@ -48,7 +48,6 @@ Result<ReplayReport> RunReplay(Instance instance,
       core::SolveBenchmarkLpStructured(instance, catalog, dual, &warm));
   FractionalSolution fractional;
   fractional.lp = std::move(base_sol);
-  fractional.structured = true;
   RoundingState state;
   {
     Rng round_rng = master.Fork();
@@ -98,7 +97,6 @@ Result<ReplayReport> RunReplay(Instance instance,
           core::SolveBenchmarkLpStructured(instance, cold_catalog, dual));
       FractionalSolution cold_fractional;
       cold_fractional.lp = std::move(cold_sol);
-      cold_fractional.structured = true;
       IGEPA_ASSIGN_OR_RETURN(
           Arrangement cold_arr,
           core::RoundFractional(instance, cold_catalog, cold_fractional,

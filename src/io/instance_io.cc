@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -18,6 +19,10 @@ using core::UserDef;
 using core::UserId;
 
 namespace {
+
+/// Largest count, id or capacity that the in-memory int32_t fields hold. A
+/// file value above it is refused, never narrowed into a different number.
+constexpr int64_t kMaxId = std::numeric_limits<int32_t>::max();
 
 // Round-trip exact for every finite double (17 significant digits). The
 // fixed-precision FormatDouble(x, 17) used by the legacy sparse format loses
@@ -125,8 +130,9 @@ Result<Instance> ReadInstanceCsv(std::istream& in, const std::string& path) {
   int64_t nv = 0, nu = 0;
   double beta = 0.0;
   if (!ParseInt(header[2], &nv) || !ParseInt(header[3], &nu) ||
-      !ParseDouble(header[4], &beta) || nv < 0 || nu < 0) {
-    return Status::InvalidArgument("bad instance header fields in " + path);
+      !ParseDouble(header[4], &beta) || nv < 0 || nu < 0 || nv > kMaxId ||
+      nu > kMaxId) {
+    return Status::InvalidArgument(path + ":1: bad instance header fields");
   }
 
   std::vector<EventDef> events(static_cast<size_t>(nv));
@@ -151,14 +157,16 @@ Result<Instance> ReadInstanceCsv(std::istream& in, const std::string& path) {
     if (kind == "event") {
       int64_t id = 0, cap = 0;
       if (fields.size() != 3 || !ParseInt(fields[1], &id) ||
-          !ParseInt(fields[2], &cap) || id < 0 || id >= nv) {
+          !ParseInt(fields[2], &cap) || id < 0 || id >= nv || cap < 0 ||
+          cap > kMaxId) {
         return bad("malformed event line");
       }
       events[static_cast<size_t>(id)].capacity = static_cast<int32_t>(cap);
     } else if (kind == "user") {
       int64_t id = 0, cap = 0;
       if (fields.size() != 4 || !ParseInt(fields[1], &id) ||
-          !ParseInt(fields[2], &cap) || id < 0 || id >= nu) {
+          !ParseInt(fields[2], &cap) || id < 0 || id >= nu || cap < 0 ||
+          cap > kMaxId) {
         return bad("malformed user line");
       }
       auto& def = users[static_cast<size_t>(id)];
@@ -247,8 +255,8 @@ Result<Arrangement> ReadArrangementCsv(const std::string& path) {
   int64_t nv = 0, nu = 0;
   if (header.size() != 3 || header[0] != "arrangement" ||
       !ParseInt(header[1], &nv) || !ParseInt(header[2], &nu) || nv < 0 ||
-      nu < 0) {
-    return Status::InvalidArgument("bad arrangement header in " + path);
+      nu < 0 || nv > kMaxId || nu > kMaxId) {
+    return Status::InvalidArgument(path + ":1: bad arrangement header");
   }
   Arrangement arrangement(static_cast<int32_t>(nv), static_cast<int32_t>(nu));
   int64_t line_no = 1;
@@ -258,7 +266,8 @@ Result<Arrangement> ReadArrangementCsv(const std::string& path) {
     if (fields.empty() || fields[0].empty()) continue;
     int64_t v = 0, u = 0;
     if (fields.size() != 3 || fields[0] != "pair" ||
-        !ParseInt(fields[1], &v) || !ParseInt(fields[2], &u)) {
+        !ParseInt(fields[1], &v) || !ParseInt(fields[2], &u) || v < 0 ||
+        v >= nv || u < 0 || u >= nu) {
       return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
                                      ": malformed pair line");
     }

@@ -123,7 +123,6 @@ Status ArrangementService::Bootstrap() {
       lp::LpSolution base_sol,
       core::SolveBenchmarkLpStructured(instance_, catalog_, dual_, &warm_));
   fractional_.lp = std::move(base_sol);
-  fractional_.structured = true;
   Rng round_rng = master_.Fork();
   IGEPA_ASSIGN_OR_RETURN(
       Arrangement base_arr,
@@ -203,7 +202,6 @@ Status ArrangementService::RestoreAndReplay(EngineSnapshot snap) {
   fractional_.lp.iterations = snap.lp_iterations;
   fractional_.lp.x = std::move(snap.x);
   fractional_.lp.duals = std::move(snap.duals);
-  fractional_.structured = true;
   master_.set_state(snap.rng_state);
   next_epoch_ = snap.next_epoch;
   next_version_ = snap.next_version;

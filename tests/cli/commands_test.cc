@@ -338,9 +338,6 @@ TEST(CliTest, SolveThreadsKnobIsPurePerformance) {
   // >= 128, rounding >= 512), so --threads=2/8 genuinely exercise the
   // sharded paths rather than comparing serial to serial.
   const std::string instance_path = TempPath("cli_threads_inst.csv");
-  // (50 events keeps the instance in the structured-dual tier — far fewer
-  // events make the auto tier pick the dense simplex, which is orders of
-  // magnitude slower at this size.)
   ASSERT_EQ(RunTool({"generate", "--kind=synthetic", "--events=50",
                  "--users=520", "--out=" + instance_path})
                 .code,

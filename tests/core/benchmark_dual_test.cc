@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "gen/synthetic.h"
-#include "lp/dense_simplex.h"
 #include "tests/core/test_instances.h"
+#include "tests/oracle/benchmark_lp.h"
+#include "tests/oracle/dense_simplex.h"
 
 namespace igepa {
 namespace core {
@@ -63,29 +64,59 @@ TEST(BenchmarkDualTest, TinyInstanceNearOptimal) {
   EXPECT_LE(p.bench.model.MaxInfeasibility(sol->x), 1e-9);
 }
 
-class BenchmarkDualProperty : public ::testing::TestWithParam<uint64_t> {};
+/// One input of the property suite: a Table-I synthetic instance of
+/// `events` × `users` drawn from `seed`, or the tiny instance when `events`
+/// is 0.
+struct DualCase {
+  uint64_t seed = 0;
+  int32_t events = 15;
+  int32_t users = 30;
+};
+
+/// Names a case by its seed, plus its shape when that is not 15 × 30.
+void PrintTo(const DualCase& c, std::ostream* os) {
+  if (c.events == 0) {
+    *os << "tiny";
+    return;
+  }
+  *os << c.seed;
+  if (c.events != 15 || c.users != 30) {
+    *os << "_" << c.events << "x" << c.users;
+  }
+}
+
+class BenchmarkDualProperty : public ::testing::TestWithParam<DualCase> {};
 
 TEST_P(BenchmarkDualProperty, BracketsExactLpOptimum) {
-  Prepared p = PrepareSynthetic(GetParam(), 15, 30);
+  const DualCase& c = GetParam();
+  Prepared p = c.events == 0 ? Prepare(MakeTinyInstance())
+                             : PrepareSynthetic(c.seed, c.events, c.users);
   auto exact = lp::DenseSimplex().Solve(p.bench.model);
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(exact->status, lp::SolveStatus::kOptimal);
 
-  StructuredDualOptions options;
-  options.target_gap = 0.01;
-  options.max_iterations = 30000;
-  auto approx = SolveBenchmarkLpStructured(p.instance, p.catalog, options);
-  ASSERT_TRUE(approx.ok());
-  EXPECT_LE(approx->objective, exact->objective + 1e-6);
-  EXPECT_GE(approx->upper_bound, exact->objective - 1e-6);
-  EXPECT_LE(p.bench.model.MaxInfeasibility(approx->x), 1e-7);
-  if (approx->status == lp::SolveStatus::kApproximate) {
-    EXPECT_GE(approx->objective, (1.0 - 0.011) * exact->objective - 1e-9);
+  // A long budget, and the defaults that LpPacking solves line 1 with.
+  StructuredDualOptions long_budget;
+  long_budget.target_gap = 0.01;
+  long_budget.max_iterations = 30000;
+  for (const StructuredDualOptions& options :
+       {long_budget, StructuredDualOptions{}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "max_iterations " << options.max_iterations);
+    auto approx = SolveBenchmarkLpStructured(p.instance, p.catalog, options);
+    ASSERT_TRUE(approx.ok());
+    EXPECT_LE(approx->objective, exact->objective + 1e-6);
+    EXPECT_GE(approx->upper_bound, exact->objective - 1e-6);
+    EXPECT_LE(p.bench.model.MaxInfeasibility(approx->x), 1e-7);
+    if (approx->status == lp::SolveStatus::kApproximate) {
+      EXPECT_GE(approx->objective,
+                (1.0 - options.target_gap) * exact->objective - 1e-9);
+    }
   }
 }
 
 TEST_P(BenchmarkDualProperty, PrimalRespectsUserMassAndCapacities) {
-  Prepared p = PrepareSynthetic(GetParam() ^ 0xBEEF, 20, 50);
+  Prepared p = PrepareSynthetic(GetParam().seed ^ 0xBEEF, 20, 50);
   auto sol = SolveBenchmarkLpStructured(p.instance, p.catalog, {});
   ASSERT_TRUE(sol.ok());
   // Per-user mass <= 1 (constraint (2)) and event usage <= c_v (3) — checked
@@ -99,8 +130,14 @@ TEST_P(BenchmarkDualProperty, PrimalRespectsUserMassAndCapacities) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BenchmarkDualProperty,
-                         ::testing::Values(3, 17, 29, 71, 113, 211));
+// Seeded 15 × 30 instances, the tiny instance and docs/GUIDE.md's 20-event ×
+// 120-user instance (seed 7): the small shapes that the unit tests and the
+// documented CLI runs solve through LpPacking's default options.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, BenchmarkDualProperty,
+    ::testing::Values(DualCase{3}, DualCase{17}, DualCase{29}, DualCase{71},
+                      DualCase{113}, DualCase{211}, DualCase{0, 0, 0},
+                      DualCase{7, 20, 120}));
 
 TEST(BenchmarkDualTest, UpperBoundIsLagrangianAtReportedDuals) {
   // Recompute L(μ) from the reported duals; it must equal upper_bound (the

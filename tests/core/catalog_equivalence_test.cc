@@ -2,8 +2,8 @@
 // enumeration via AdmissibleCatalog::Build) and an independently enumerated
 // catalog (tests/core/legacy_reference.h fed through FromSets): both must
 // produce bit-identical LP objectives and, fed the same RNG stream,
-// bit-identical arrangements — on random synthetic instances across both LP
-// tiers and all repair orders.
+// bit-identical arrangements — on random synthetic instances across all
+// repair orders.
 
 #include <gtest/gtest.h>
 
@@ -47,7 +47,6 @@ void ExpectEquivalent(const Instance& instance,
   // Bit-identical objectives and certificates, not just near-equal.
   EXPECT_EQ(reference_lp->lp.objective, catalog_lp->lp.objective);
   EXPECT_EQ(reference_lp->lp.upper_bound, catalog_lp->lp.upper_bound);
-  EXPECT_EQ(reference_lp->structured, catalog_lp->structured);
   ASSERT_EQ(reference_lp->lp.x.size(), catalog_lp->lp.x.size());
   EXPECT_EQ(reference_lp->lp.x, catalog_lp->lp.x);
 
@@ -73,20 +72,17 @@ void ExpectEquivalent(const Instance& instance,
             stats_catalog.admissible_truncated);
 }
 
+// The "FacadeTier" names date from a second LP tier; both tests now run their
+// inputs through the structured dual, the only tier there is.
 TEST(CatalogEquivalenceTest, TinyInstanceFacadeTier) {
-  const Instance instance = MakeTinyInstance();
-  LpPackingOptions options;
-  options.benchmark_solver = BenchmarkSolverKind::kLpFacade;
-  ExpectEquivalent(instance, options, /*round_seed=*/101);
+  ExpectEquivalent(MakeTinyInstance(), {}, /*round_seed=*/101);
 }
 
 TEST(CatalogEquivalenceTest, SyntheticFacadeTierSeeds) {
   for (uint64_t seed : {3u, 5u, 7u}) {
     auto instance = ScarceInstance(seed, 60);
     ASSERT_TRUE(instance.ok());
-    LpPackingOptions options;
-    options.benchmark_solver = BenchmarkSolverKind::kLpFacade;
-    ExpectEquivalent(*instance, options, /*round_seed=*/seed * 13);
+    ExpectEquivalent(*instance, {}, /*round_seed=*/seed * 13);
   }
 }
 
@@ -94,9 +90,7 @@ TEST(CatalogEquivalenceTest, SyntheticStructuredTierSeeds) {
   for (uint64_t seed : {11u, 19u}) {
     auto instance = ScarceInstance(seed, 80);
     ASSERT_TRUE(instance.ok());
-    LpPackingOptions options;
-    options.benchmark_solver = BenchmarkSolverKind::kStructuredDual;
-    ExpectEquivalent(*instance, options, /*round_seed=*/seed * 29);
+    ExpectEquivalent(*instance, {}, /*round_seed=*/seed * 29);
   }
 }
 
@@ -108,7 +102,6 @@ TEST(CatalogEquivalenceTest, AlphaHalfAndRepairOrders) {
         RepairOrder::kWeightDesc}) {
     LpPackingOptions options;
     options.alpha = 0.5;
-    options.benchmark_solver = BenchmarkSolverKind::kLpFacade;
     options.repair_order = order;
     ExpectEquivalent(*instance, options, /*round_seed=*/777);
   }
@@ -119,7 +112,6 @@ TEST(CatalogEquivalenceTest, TruncatedEnumerationStaysEquivalent) {
   ASSERT_TRUE(instance.ok());
   LpPackingOptions options;
   options.admissible.max_sets_per_user = 3;  // force truncation
-  options.benchmark_solver = BenchmarkSolverKind::kLpFacade;
   ExpectEquivalent(*instance, options, /*round_seed=*/999);
 }
 

@@ -189,7 +189,6 @@ TEST(ParallelDeterminismTest, LpPackingEndToEndIdenticalAcrossThreadCounts) {
   const AdmissibleCatalog catalog = AdmissibleCatalog::Build(instance, {});
   LpPackingOptions base;
   base.structured.max_iterations = 200;
-  base.benchmark_solver = BenchmarkSolverKind::kStructuredDual;
   base.num_threads = 1;
   base.structured.num_threads = 1;
   Rng ref_rng(5);

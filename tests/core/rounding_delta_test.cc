@@ -39,7 +39,6 @@ FractionalSolution Solve(const Instance& instance,
   auto sol = SolveBenchmarkLpStructured(instance, catalog, dual);
   EXPECT_TRUE(sol.ok());
   fractional.lp = std::move(*sol);
-  fractional.structured = true;
   return fractional;
 }
 

@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "algo/exact.h"
-#include "core/benchmark_lp.h"
 #include "core/lp_packing.h"
 #include "gen/synthetic.h"
-#include "lp/dense_simplex.h"
 #include "tests/core/test_instances.h"
+#include "tests/oracle/benchmark_lp.h"
+#include "tests/oracle/dense_simplex.h"
 
 namespace igepa {
 namespace core {

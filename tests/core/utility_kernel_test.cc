@@ -221,7 +221,6 @@ TEST(UtilityKernelTest, CohesionKernelChangesTheArrangement) {
   by_cohesion.set_kernel(std::make_shared<CohesionKernel>(0.25));
 
   LpPackingOptions options;
-  options.benchmark_solver = BenchmarkSolverKind::kLpFacade;
   Rng rng_a(1);
   Rng rng_b(1);
   auto default_arr = LpPacking(by_default, &rng_a, options);
@@ -566,7 +565,6 @@ TEST(UtilityKernelTest, WarmTickRejectsBadWeightDeltaWithoutMutatingState) {
   ASSERT_TRUE(sol.ok());
   FractionalSolution fractional;
   fractional.lp = std::move(*sol);
-  fractional.structured = true;
   Rng rng(5);
   RoundingState state;
   auto arr = RoundFractional(*instance, catalog, fractional, &rng, {},

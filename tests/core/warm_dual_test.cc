@@ -85,7 +85,7 @@ TEST(WarmDualTest, WarmMatchesColdWithinCertifiedTolerance) {
   // The warm trajectory starts at the previous optimum: it must certify in
   // far fewer subgradient iterations than the cold restart.
   EXPECT_LT(warmed->iterations, cold->iterations);
-  EXPECT_LE(warmed->iterations, options.check_every);
+  EXPECT_LE(warmed->iterations, kGapCheckEvery);
 }
 
 TEST(WarmDualTest, WarmRestartWithoutDeltaCertifiesImmediately) {
@@ -102,7 +102,7 @@ TEST(WarmDualTest, WarmRestartWithoutDeltaCertifiesImmediately) {
   auto again = SolveBenchmarkLpStructured(instance, catalog, warm_options);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->status, lp::SolveStatus::kApproximate);
-  EXPECT_LE(again->iterations, options.check_every);
+  EXPECT_LE(again->iterations, kGapCheckEvery);
 }
 
 TEST(WarmDualTest, WarmSolveBitIdenticalForEveryThreadCount) {
@@ -267,7 +267,7 @@ int64_t WarmIterationsOverArrivalTicks(int32_t users, int32_t batch) {
 // The warm schedule at serving scale: the fine-step probe and the checks at
 // every averaging-window end certify most ticks within a window or two
 // (82 and 46 iterations in all). With the full cold step and checks only
-// at t = 1 and every check_every iterations, these streams took 600 and 975.
+// at t = 1 and every kGapCheckEvery iterations, these streams took 600 and 975.
 TEST(WarmDualTest, ServingScaleTicksCertifyInFewIterations) {
   EXPECT_LE(WarmIterationsOverArrivalTicks(4000, 256), 250);
   EXPECT_LE(WarmIterationsOverArrivalTicks(8000, 27), 150);

@@ -1,17 +1,15 @@
 // End-to-end integration and property tests: generator -> admissible sets ->
-// benchmark LP (all three solver tiers) -> Algorithm 1 rounding -> validator,
-// plus cross-algorithm feasibility sweeps on synthetic and Meetup-sim data.
+// benchmark LP -> Algorithm 1 rounding -> validator, plus cross-algorithm
+// feasibility sweeps on synthetic and Meetup-sim data.
 
 #include <gtest/gtest.h>
 
 #include "algo/baselines.h"
-#include "core/benchmark_lp.h"
 #include "core/lp_packing.h"
 #include "exp/harness.h"
 #include "gen/meetup_sim.h"
 #include "gen/synthetic.h"
 #include "io/instance_io.h"
-#include "lp/solver.h"
 
 namespace igepa {
 namespace {
@@ -50,63 +48,6 @@ TEST_P(FeasibilityProperty, AllAlgorithmsFeasibleOnVariedShapes) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FeasibilityProperty,
                          ::testing::Values(1, 7, 13, 42, 99, 123, 500, 777,
                                            2024, 31337));
-
-/// The three LP tiers must agree (exactly or within the certified gap) when
-/// plugged into the full benchmark-LP pipeline.
-TEST(PipelineTest, LpTiersAgreeOnBenchmarkLp) {
-  Rng master(11);
-  gen::SyntheticConfig config;
-  config.num_events = 25;
-  config.num_users = 60;
-  Rng gen_rng = master.Fork();
-  auto instance = gen::GenerateSynthetic(config, &gen_rng);
-  ASSERT_TRUE(instance.ok());
-  const auto catalog = core::AdmissibleCatalog::Build(*instance, {});
-  const core::BenchmarkLp bench = core::BuildBenchmarkLp(*instance, catalog);
-
-  lp::LpSolverOptions dense;
-  dense.kind = lp::SolverKind::kDenseSimplex;
-  lp::LpSolverOptions revised;
-  revised.kind = lp::SolverKind::kRevisedSimplex;
-  lp::LpSolverOptions packing;
-  packing.kind = lp::SolverKind::kPackingDual;
-  packing.packing.target_gap = 0.01;
-  packing.packing.max_iterations = 30000;
-
-  auto a = lp::SolveLp(bench.model, dense);
-  auto b = lp::SolveLp(bench.model, revised);
-  auto c = lp::SolveLp(bench.model, packing);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_TRUE(c.ok());
-  EXPECT_NEAR(a->objective, b->objective, 1e-6 * std::max(1.0, a->objective));
-  EXPECT_GE(c->objective, 0.97 * a->objective);
-  EXPECT_LE(c->objective, a->objective + 1e-6);
-  EXPECT_GE(c->upper_bound, a->objective - 1e-6);
-}
-
-TEST(PipelineTest, LpPackingFeasibleWithEveryTier) {
-  Rng master(13);
-  gen::SyntheticConfig config;
-  config.num_events = 20;
-  config.num_users = 50;
-  Rng gen_rng = master.Fork();
-  auto instance = gen::GenerateSynthetic(config, &gen_rng);
-  ASSERT_TRUE(instance.ok());
-  for (lp::SolverKind kind :
-       {lp::SolverKind::kDenseSimplex, lp::SolverKind::kRevisedSimplex,
-        lp::SolverKind::kPackingDual}) {
-    Rng rng = master.Fork();
-    core::LpPackingOptions options;
-    options.solver.kind = kind;
-    core::LpPackingStats stats;
-    auto result = core::LpPacking(*instance, &rng, options, &stats);
-    ASSERT_TRUE(result.ok()) << lp::SolverKindToString(kind);
-    EXPECT_TRUE(result->CheckFeasible(*instance).ok())
-        << lp::SolverKindToString(kind);
-    EXPECT_GT(result->Utility(*instance), 0.0);
-  }
-}
 
 TEST(PipelineTest, MeetupSimFullComparison) {
   // Scaled-down Meetup-sim through the full four-algorithm comparison.

@@ -203,6 +203,29 @@ TEST_F(InstanceIoTest, MalformedRecordRejectedWithLineNumber) {
       << "error should carry the line number: " << result.status();
 }
 
+TEST_F(InstanceIoTest, OutOfRangeIntegersRefusedNotNarrowed) {
+  // In an int32_t, 4294967297 = 2^32 + 1 and 4294967298 = 2^32 + 2 narrow
+  // to capacities 1 and 2, and a count above INT32_MAX narrows while the
+  // vectors are sized from the wide value: each is refused at its line.
+  const auto expect_refused = [this](const std::string& name,
+                                     const std::string& text,
+                                     const std::string& line) {
+    const std::string path = TempPath(name);
+    std::ofstream(path) << text;
+    auto result = ReadInstanceCsv(path);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(result.status().message().find(line), std::string::npos)
+        << name << ": " << result.status();
+  };
+  expect_refused("wide_event.csv",
+                 "igepa,1,1,1,0.5\nevent,0,4294967297\nuser,0,4294967298,0\n",
+                 ":2:");
+  expect_refused("wide_user.csv",
+                 "igepa,1,1,1,0.5\nevent,0,1\nuser,0,4294967298,0\n", ":3:");
+  expect_refused("wide_header.csv", "igepa,1,2147483648,1,0.5\n", ":1:");
+}
+
 TEST_F(InstanceIoTest, UnknownRecordKindRejected) {
   const std::string path = TempPath("unknown.csv");
   std::ofstream(path) << "igepa,1,1,1,0.5\n"
@@ -236,6 +259,28 @@ TEST_F(InstanceIoTest, EmptyArrangementRoundTrip) {
   EXPECT_EQ(loaded->num_events(), 4);
   EXPECT_EQ(loaded->num_users(), 5);
   EXPECT_TRUE(loaded->empty());
+}
+
+TEST_F(InstanceIoTest, ArrangementOutOfRangeIntegersRefusedNotNarrowed) {
+  // Narrowed to int32_t, both files would read as a 1 x 1 arrangement
+  // holding pair (0, 0).
+  const std::string wide_header = TempPath("wide_arrangement.csv");
+  std::ofstream(wide_header) << "arrangement,4294967297,4294967297\n"
+                             << "pair,4294967296,4294967296\n";
+  auto header = ReadArrangementCsv(wide_header);
+  ASSERT_FALSE(header.ok());
+  EXPECT_EQ(header.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(header.status().message().find(":1:"), std::string::npos)
+      << header.status();
+
+  const std::string wide_pair = TempPath("wide_pair.csv");
+  std::ofstream(wide_pair) << "arrangement,1,1\n"
+                           << "pair,4294967296,4294967296\n";
+  auto pair = ReadArrangementCsv(wide_pair);
+  ASSERT_FALSE(pair.ok());
+  EXPECT_EQ(pair.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(pair.status().message().find(":2:"), std::string::npos)
+      << pair.status();
 }
 
 TEST_F(InstanceIoTest, ArrangementDuplicatePairRejected) {

@@ -1,4 +1,4 @@
-#include "core/benchmark_lp.h"
+#include "tests/oracle/benchmark_lp.h"
 
 namespace igepa {
 namespace core {

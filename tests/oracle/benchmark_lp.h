@@ -1,12 +1,12 @@
-#ifndef IGEPA_CORE_BENCHMARK_LP_H_
-#define IGEPA_CORE_BENCHMARK_LP_H_
+#ifndef IGEPA_TESTS_ORACLE_BENCHMARK_LP_H_
+#define IGEPA_TESTS_ORACLE_BENCHMARK_LP_H_
 
 #include <utility>
 #include <vector>
 
 #include "core/admissible_catalog.h"
 #include "core/instance.h"
-#include "lp/model.h"
+#include "tests/oracle/model.h"
 
 namespace igepa {
 namespace core {
@@ -33,16 +33,15 @@ struct BenchmarkLp {
   }
 };
 
-/// Materializes the benchmark LP from catalog views — needed only when the
-/// generic lp:: facade (dense/revised simplex, generic packing dual) solves
-/// line 1; the structured solver (benchmark_dual.h) consumes the catalog CSR
-/// directly. Column j of the model is catalog column j: objective
-/// `catalog.weight(j)`, +1 in the owner's user row and in each event row of
-/// `catalog.set(j)`.
+/// Materializes the benchmark LP from catalog views for the exact oracle
+/// (DenseSimplex); the library's solver (core/benchmark_dual.h) consumes the
+/// catalog CSR directly. Column j of the model is catalog column j on a
+/// canonical catalog: objective `catalog.weight(j)`, +1 in the owner's user
+/// row and in each event row of `catalog.set(j)`.
 BenchmarkLp BuildBenchmarkLp(const Instance& instance,
                              const AdmissibleCatalog& catalog);
 
 }  // namespace core
 }  // namespace igepa
 
-#endif  // IGEPA_CORE_BENCHMARK_LP_H_
+#endif  // IGEPA_TESTS_ORACLE_BENCHMARK_LP_H_

@@ -1,10 +1,10 @@
-#include "core/benchmark_lp.h"
+#include "tests/oracle/benchmark_lp.h"
 
 #include <gtest/gtest.h>
 
-#include "lp/dense_simplex.h"
 #include "tests/core/legacy_reference.h"
 #include "tests/core/test_instances.h"
+#include "tests/oracle/dense_simplex.h"
 
 namespace igepa {
 namespace core {

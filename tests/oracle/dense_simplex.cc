@@ -1,4 +1,4 @@
-#include "lp/dense_simplex.h"
+#include "tests/oracle/dense_simplex.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,10 +1,10 @@
-#ifndef IGEPA_LP_DENSE_SIMPLEX_H_
-#define IGEPA_LP_DENSE_SIMPLEX_H_
+#ifndef IGEPA_TESTS_ORACLE_DENSE_SIMPLEX_H_
+#define IGEPA_TESTS_ORACLE_DENSE_SIMPLEX_H_
 
 #include <cstdint>
 
-#include "lp/model.h"
 #include "lp/solution.h"
+#include "tests/oracle/model.h"
 #include "util/result.h"
 
 namespace igepa {
@@ -24,12 +24,12 @@ struct DenseSimplexOptions {
 
 /// General-purpose exact LP solver: two-phase primal simplex on a dense
 /// tableau. Supports <=, >=, = rows and arbitrary (including free) variable
-/// bounds. Memory is O(rows * cols); intended for small and medium models —
-/// unit tests, tiny exact IGEPA instances, and as ground truth for the
-/// approximate packing solvers.
+/// bounds. Memory is O(rows * cols), so it only suits small models.
 ///
-/// This class is the library's stand-in for the commercial solver used by the
-/// paper (substitution S5/1 in DESIGN.md).
+/// Test-only oracle, linked into igepa_tests and not into the library: it
+/// plays the paper's commercial LP solver (DESIGN.md S1/S5) where the tests
+/// need the exact LP optimum — Lemma 1, Theorem 2 and the bracket around the
+/// structured dual's certified objective.
 class DenseSimplex {
  public:
   explicit DenseSimplex(DenseSimplexOptions options = {});
@@ -45,4 +45,4 @@ class DenseSimplex {
 }  // namespace lp
 }  // namespace igepa
 
-#endif  // IGEPA_LP_DENSE_SIMPLEX_H_
+#endif  // IGEPA_TESTS_ORACLE_DENSE_SIMPLEX_H_

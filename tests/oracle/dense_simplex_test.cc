@@ -1,8 +1,8 @@
-#include "lp/dense_simplex.h"
+#include "tests/oracle/dense_simplex.h"
 
 #include <gtest/gtest.h>
 
-#include "tests/lp/lp_test_util.h"
+#include "tests/oracle/lp_test_util.h"
 
 namespace igepa {
 namespace lp {

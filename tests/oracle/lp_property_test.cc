@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "lp/dense_simplex.h"
-#include "lp/packing_dual.h"
-#include "lp/revised_simplex.h"
-#include "tests/lp/lp_test_util.h"
+#include "tests/oracle/dense_simplex.h"
+#include "tests/oracle/lp_test_util.h"
 
 namespace igepa {
 namespace lp {
@@ -19,41 +17,6 @@ TEST_P(PackingLpProperty, DenseSimplexSatisfiesKkt) {
   ASSERT_TRUE(sol.ok()) << sol.status();
   ASSERT_EQ(sol->status, SolveStatus::kOptimal);
   ExpectKktOptimal(m, *sol);
-}
-
-TEST_P(PackingLpProperty, RevisedMatchesDense) {
-  Rng rng(GetParam() ^ 0xABCDEF);
-  LpModel m = RandomPackingLp(&rng, 18, 60);
-  auto dense = DenseSimplex().Solve(m);
-  auto revised = RevisedSimplex().Solve(m);
-  ASSERT_TRUE(dense.ok());
-  ASSERT_TRUE(revised.ok());
-  ASSERT_EQ(dense->status, SolveStatus::kOptimal);
-  ASSERT_EQ(revised->status, SolveStatus::kOptimal);
-  EXPECT_NEAR(dense->objective, revised->objective,
-              1e-6 * std::max(1.0, std::abs(dense->objective)));
-  ExpectKktOptimal(m, *revised);
-}
-
-TEST_P(PackingLpProperty, PackingDualBracketsOptimum) {
-  Rng rng(GetParam() ^ 0x123456);
-  LpModel m = RandomPackingLp(&rng, 15, 45);
-  auto exact = DenseSimplex().Solve(m);
-  PackingDualOptions opts;
-  opts.target_gap = 0.02;
-  opts.max_iterations = 20000;
-  auto approx = PackingDualSolver(opts).Solve(m);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_TRUE(approx.ok());
-  ASSERT_EQ(exact->status, SolveStatus::kOptimal);
-  // Bracketing (the fundamental correctness property).
-  EXPECT_LE(approx->objective, exact->objective + 1e-6);
-  EXPECT_GE(approx->upper_bound, exact->objective - 1e-6);
-  // Feasibility of the repaired primal.
-  EXPECT_LE(m.MaxInfeasibility(approx->x), 1e-7);
-  // Quality: within the certified gap of the certified upper bound.
-  EXPECT_GE(approx->objective,
-            (1.0 - 0.05) * exact->objective - 1e-6);
 }
 
 TEST_P(PackingLpProperty, DualVectorIsDualFeasibleUpperBound) {

@@ -1,13 +1,13 @@
-#ifndef IGEPA_TESTS_LP_LP_TEST_UTIL_H_
-#define IGEPA_TESTS_LP_LP_TEST_UTIL_H_
+#ifndef IGEPA_TESTS_ORACLE_LP_TEST_UTIL_H_
+#define IGEPA_TESTS_ORACLE_LP_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "lp/model.h"
 #include "lp/solution.h"
+#include "tests/oracle/model.h"
 #include "util/rng.h"
 
 namespace igepa {
@@ -84,4 +84,4 @@ inline LpModel RandomPackingLp(Rng* rng, int32_t rows, int32_t cols,
 }  // namespace lp
 }  // namespace igepa
 
-#endif  // IGEPA_TESTS_LP_LP_TEST_UTIL_H_
+#endif  // IGEPA_TESTS_ORACLE_LP_TEST_UTIL_H_

@@ -1,5 +1,5 @@
-#ifndef IGEPA_LP_MODEL_H_
-#define IGEPA_LP_MODEL_H_
+#ifndef IGEPA_TESTS_ORACLE_MODEL_H_
+#define IGEPA_TESTS_ORACLE_MODEL_H_
 
 #include <cstdint>
 #include <limits>
@@ -36,7 +36,7 @@ struct ColumnEntry {
 ///
 /// Columns are the natural unit for the IGEPA benchmark LP: each admissible
 /// event set (u, S) is one column touching the user row of u and the event
-/// rows of S (see core/benchmark_lp.h).
+/// rows of S (see tests/oracle/benchmark_lp.h). Test-only, like DenseSimplex.
 class LpModel {
  public:
   LpModel() = default;
@@ -68,7 +68,7 @@ class LpModel {
 
   /// True when the model is in *packing canonical form*: every row is `<=`
   /// with rhs >= 0, every coefficient is >= 0, and every variable has
-  /// 0 <= lower <= upper. RevisedSimplex and PackingDualSolver require this.
+  /// 0 <= lower <= upper. The benchmark LP (1)-(4) is in this form.
   bool IsPackingForm() const;
 
   /// Evaluates the objective at `x` (size num_cols()).
@@ -92,4 +92,4 @@ class LpModel {
 }  // namespace lp
 }  // namespace igepa
 
-#endif  // IGEPA_LP_MODEL_H_
+#endif  // IGEPA_TESTS_ORACLE_MODEL_H_

@@ -1,4 +1,4 @@
-#include "lp/model.h"
+#include "tests/oracle/model.h"
 
 #include <gtest/gtest.h>
 

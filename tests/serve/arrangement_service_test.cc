@@ -79,7 +79,6 @@ struct DirectEngine {
                                                 &warm);
     EXPECT_TRUE(sol.ok());
     fractional.lp = std::move(*sol);
-    fractional.structured = true;
     Rng round_rng = master.Fork();
     auto arr = core::RoundFractional(instance, catalog, fractional,
                                      &round_rng, round_options,
