@@ -312,6 +312,36 @@ void BM_StructuredDualWarmVsCold(benchmark::State& state) {
 BENCHMARK(BM_StructuredDualWarmVsCold)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+// A cold solve of the Table II Meetup simulation (default config: 190 events,
+// 2,811 users) at one thread, about 2,000 iterations. Most of its user scans
+// are certified unchanged and skipped (DESIGN.md §5, S19), so this row slows by
+// about 2.4x if the skip stops firing. The catalog is built outside the
+// timed loop.
+void BM_StructuredDualMeetup(benchmark::State& state) {
+  Rng rng(1);
+  auto instance = gen::GenerateMeetup(gen::MeetupConfig{}, &rng);
+  if (!instance.ok()) {
+    state.SkipWithError("GenerateMeetup failed");
+    return;
+  }
+  const auto catalog = core::AdmissibleCatalog::Build(*instance, {});
+  core::StructuredDualOptions options;
+  options.num_threads = 1;
+  int64_t iterations = 0;
+  for (auto _ : state) {
+    auto sol = core::SolveBenchmarkLpStructured(*instance, catalog, options);
+    if (!sol.ok()) {
+      state.SkipWithError("solve failed");
+      break;
+    }
+    iterations = sol->iterations;
+    benchmark::DoNotOptimize(sol);
+  }
+  state.counters["iterations"] =
+      benchmark::Counter(static_cast<double>(iterations));
+}
+BENCHMARK(BM_StructuredDualMeetup)->Unit(benchmark::kMillisecond);
+
 // One serving epoch end to end (S16): coalesce `batch` queued single-mutation
 // deltas, run the warm incremental pipeline, publish a snapshot. Sweeping the
 // batch size shows the amortization the epoch loop buys — items_per_second is

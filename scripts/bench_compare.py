@@ -32,8 +32,8 @@ import sys
 
 DEFAULT_FILTER = (
     r"^(BM_(BuildAdmissibleCatalog|StructuredDualThreads|"
-    r"RoundFractionalCatalog|LpPackingEndToEnd|CatalogApplyDelta|"
-    r"StructuredDualWarmVsCold|ServeEpoch|ServePipelined|"
+    r"StructuredDualMeetup|RoundFractionalCatalog|LpPackingEndToEnd|"
+    r"CatalogApplyDelta|StructuredDualWarmVsCold|ServeEpoch|ServePipelined|"
     r"KernelRescore|CatalogBuildThreads|ScoreColumnsSoA|ShardedSolve)|"
     r"LT_Serve(EpochLatency|PublishLatency|StageIngest|StageSolve|"
     r"StageCommit))"

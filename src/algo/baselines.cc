@@ -100,9 +100,7 @@ Result<Arrangement> GreedyGg(const Instance& instance) {
 
 Result<Arrangement> GreedyBestSet(const Instance& instance,
                                   const core::AdmissibleCatalog& catalog) {
-  if (catalog.num_users() != instance.num_users()) {
-    return Status::InvalidArgument("catalog size mismatch");
-  }
+  IGEPA_RETURN_IF_ERROR(catalog.CheckShape(instance));
   const int32_t nu = instance.num_users();
   const int32_t nv = instance.num_events();
 

@@ -17,9 +17,7 @@ Result<Arrangement> OnlineArrange(const Instance& instance,
                                   const OnlineOptions& options,
                                   OnlineStats* stats) {
   const int32_t nu = instance.num_users();
-  if (catalog.num_users() != nu) {
-    return Status::InvalidArgument("catalog size mismatch");
-  }
+  IGEPA_RETURN_IF_ERROR(catalog.CheckShape(instance));
   if (static_cast<int32_t>(arrival_order.size()) != nu) {
     return Status::InvalidArgument("arrival order size mismatch");
   }

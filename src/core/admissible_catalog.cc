@@ -478,16 +478,25 @@ AdmissibleCatalog AdmissibleCatalog::FromSets(
   return out;
 }
 
+Status AdmissibleCatalog::CheckShape(const Instance& instance) const {
+  if (instance.num_users() == num_users() &&
+      instance.num_events() == num_events()) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "catalog shape mismatch: catalog has " + std::to_string(num_users()) +
+      " users x " + std::to_string(num_events()) + " events, instance has " +
+      std::to_string(instance.num_users()) + " x " +
+      std::to_string(instance.num_events()));
+}
+
 Result<CatalogDeltaResult> AdmissibleCatalog::ApplyDelta(
     const Instance& instance, const InstanceDelta& delta,
     const CatalogDeltaOptions& options) {
   const int32_t nu = num_users();
   const int32_t nv = num_events();
-  if (instance.num_users() != nu || instance.num_events() != nv) {
-    return Status::InvalidArgument(
-        "ApplyDelta: instance shape does not match catalog (deltas cannot "
-        "add or remove user/event slots)");
-  }
+  // Deltas cannot add or remove user/event slots.
+  IGEPA_RETURN_IF_ERROR(CheckShape(instance));
   IGEPA_RETURN_IF_ERROR(ValidateDelta(nv, nu, delta));
   CatalogDeltaResult result;
   result.touched_users = TouchedUsers(delta);

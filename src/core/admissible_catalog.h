@@ -189,6 +189,12 @@ class AdmissibleCatalog {
   int32_t num_events() const {
     return static_cast<int32_t>(event_begin_.size()) - 1;
   }
+  /// OK when this catalog has `instance`'s user AND event counts; otherwise
+  /// InvalidArgument. Every consumer that pairs a catalog with an instance
+  /// checks this first: its per-event arrays are sized by the instance and
+  /// indexed by the catalog's event ids, so a catalog built on a wider
+  /// instance would write past them.
+  Status CheckShape(const Instance& instance) const;
   /// Total column ids ever allocated, including tombstones — the size every
   /// column-indexed vector (LP x, weights) must have.
   int32_t num_columns() const { return static_cast<int32_t>(weight_.size()); }

@@ -28,6 +28,13 @@ constexpr int32_t kMinParallelUsers = 128;
 /// averaging windows, [1, 1] and [2, 3].
 constexpr int64_t kProbeIterations = 3;
 
+/// k_u: an upper bound on the size of user u's admissible sets, which never
+/// exceed the user's capacity or bid count.
+int32_t MaxSetSize(const Instance& instance, UserId u) {
+  return std::min(instance.user_capacity(u),
+                  static_cast<int32_t>(instance.bids(u).size()));
+}
+
 }  // namespace
 
 void DualWarmStart::Remap(const std::vector<int32_t>& column_remap,
@@ -48,9 +55,7 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
   const int32_t nu = instance.num_users();
   const int32_t nv = instance.num_events();
   const int32_t cols = catalog.num_columns();
-  if (catalog.num_users() != nu) {
-    return Status::InvalidArgument("catalog size mismatch");
-  }
+  IGEPA_RETURN_IF_ERROR(catalog.CheckShape(instance));
 
   // Hot-loop views straight into the catalog CSR — no per-solve copies.
   // Column-indexed vectors span every allocated id (tombstones included);
@@ -139,6 +144,7 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
   std::vector<double> best_value(static_cast<size_t>(nu), 0.0);
   std::vector<double> xtry(static_cast<size_t>(cols), 0.0);
   std::vector<double> factor(static_cast<size_t>(cols), 1.0);
+  std::vector<int32_t> scaled;  // columns whose factor is below 1
   std::vector<double> user_mass(static_cast<size_t>(nu), 0.0);
   std::vector<double> best_x(static_cast<size_t>(cols), 0.0);
   double best_primal = 0.0;
@@ -153,59 +159,52 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
   auto extract_primal = [&]() -> double {
     const double inv =
         1.0 / static_cast<double>(std::max<int64_t>(1, avg_count));
-    std::fill(ext_usage.begin(), ext_usage.end(), 0.0);
-    for (UserId u = 0; u < nu; ++u) {
-      for (int32_t j = catalog.user_columns_begin(u);
-           j < catalog.user_columns_end(u); ++j) {
-        const double xj =
-            static_cast<double>(chosen_count[static_cast<size_t>(j)]) * inv;
-        xtry[static_cast<size_t>(j)] = xj;
-        if (xj <= 0.0) continue;
-        for (int64_t e = col_begin[static_cast<size_t>(j)];
-             e < col_begin[static_cast<size_t>(j) + 1]; ++e) {
-          ext_usage[static_cast<size_t>(pool[e])] += xj;
+    // Activities and user masses of the averaged point. When nothing is
+    // scaled below, they are already those of the point the polish starts
+    // from, summed in the same order as the recompute pass would.
+    const auto accumulate = [&](bool from_counts) {
+      std::fill(ext_usage.begin(), ext_usage.end(), 0.0);
+      std::fill(user_mass.begin(), user_mass.end(), 0.0);
+      for (UserId u = 0; u < nu; ++u) {
+        for (int32_t j = catalog.user_columns_begin(u);
+             j < catalog.user_columns_end(u); ++j) {
+          double& xj = xtry[static_cast<size_t>(j)];
+          if (from_counts) {
+            xj = static_cast<double>(chosen_count[static_cast<size_t>(j)]) *
+                 inv;
+          }
+          if (xj <= 0.0) continue;
+          user_mass[static_cast<size_t>(u)] += xj;
+          for (int64_t e = col_begin[static_cast<size_t>(j)];
+               e < col_begin[static_cast<size_t>(j) + 1]; ++e) {
+            ext_usage[static_cast<size_t>(pool[e])] += xj;
+          }
         }
       }
-    }
+    };
+    accumulate(/*from_counts=*/true);
     // Scale down through overloaded events: walk each overloaded event's
-    // column list instead of re-scanning every column's events.
-    std::fill(factor.begin(), factor.end(), 1.0);
-    bool any_overload = false;
+    // column list instead of re-scanning every column's events, and scale
+    // only the columns those walks reached. `factor` is all ones between
+    // calls; a column is listed exactly when its factor first drops below 1.
+    scaled.clear();
     for (EventId v = 0; v < nv; ++v) {
       const double cap = capacity[static_cast<size_t>(v)];
       const double used = ext_usage[static_cast<size_t>(v)];
       if (used <= cap) continue;
-      any_overload = true;
       const double f = cap <= 0.0 ? 0.0 : cap / used;
       catalog.ForEachColumnOfEvent(v, [&](int32_t j) {
-        if (xtry[static_cast<size_t>(j)] <= 0.0) return;
-        factor[static_cast<size_t>(j)] =
-            std::min(factor[static_cast<size_t>(j)], f);
+        double& fj = factor[static_cast<size_t>(j)];
+        if (xtry[static_cast<size_t>(j)] <= 0.0 || f >= fj) return;
+        if (fj == 1.0) scaled.push_back(j);
+        fj = f;
       });
     }
-    if (any_overload) {
-      for (int32_t jj = 0; jj < live_cols; ++jj) {
-        const int32_t j = by_weight[static_cast<size_t>(jj)];
-        if (xtry[static_cast<size_t>(j)] > 0.0) {
-          xtry[static_cast<size_t>(j)] *= factor[static_cast<size_t>(j)];
-        }
-      }
+    for (const int32_t j : scaled) {
+      xtry[static_cast<size_t>(j)] *= factor[static_cast<size_t>(j)];
+      factor[static_cast<size_t>(j)] = 1.0;
     }
-    // Exact activities and user masses of the scaled point.
-    std::fill(ext_usage.begin(), ext_usage.end(), 0.0);
-    std::fill(user_mass.begin(), user_mass.end(), 0.0);
-    for (UserId u = 0; u < nu; ++u) {
-      for (int32_t j = catalog.user_columns_begin(u);
-           j < catalog.user_columns_end(u); ++j) {
-        const double xj = xtry[static_cast<size_t>(j)];
-        if (xj <= 0.0) continue;
-        user_mass[static_cast<size_t>(u)] += xj;
-        for (int64_t e = col_begin[static_cast<size_t>(j)];
-             e < col_begin[static_cast<size_t>(j) + 1]; ++e) {
-          ext_usage[static_cast<size_t>(pool[e])] += xj;
-        }
-      }
-    }
+    if (!scaled.empty()) accumulate(/*from_counts=*/false);
     // Greedy polish: refill by descending weight, respecting both the user's
     // residual mass (constraint (2)) and the events' residual capacity (3).
     double value = 0.0;
@@ -269,16 +268,43 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
       static_cast<size_t>(num_lanes) * usage_stride, 0.0);
   // Per-lane reduced-cost scratch for the vectorized oracle scan: the
   // per-column μ-sums of one user's block, computed in batch by
-  // util::simd::SumColumnLanes before the scalar argmax walk.
+  // util::simd::SumColumnLanes before the scalar argmax walk. The same pass
+  // finds K = max_u k_u for the skip's rounding slack below.
   int32_t max_user_cols = 0;
+  int32_t max_set_size = 1;
   for (UserId u = 0; u < nu; ++u) {
     max_user_cols = std::max(
         max_user_cols, catalog.user_columns_end(u) - catalog.user_columns_begin(u));
+    max_set_size = std::max(max_set_size, MaxSetSize(instance, u));
   }
   const size_t musum_stride = util::PaddedStride(
       static_cast<size_t>(std::max(max_user_cols, 1)), sizeof(double));
   std::vector<double> lane_musum(
       static_cast<size_t>(num_lanes) * musum_stride, 0.0);
+
+  // ---- Certified oracle skipping (DESIGN.md §5, S19). ----------------------
+  // A user's last full scan certifies its argmax until μ has moved far
+  // enough to change it. Trading set S for S' changes w − Σμ by at most
+  // |S Δ S'| ≤ c_u = min(2·k_u, a_u) times the max-norm distance μ moved,
+  // where a_u counts the user's bids on events whose μ has moved in this
+  // solve. So while the scan's margin (best candidate minus runner-up, the
+  // empty set worth 0 included) exceeds c_u times the travel P since the
+  // scan, plus a rounding slack, the full scan would pick the same column,
+  // and the user recomputes only that column's value. The scan solves this
+  // rule for the travel reading at which its certificate expires, so the
+  // check is one compare. Only the shard that owns a user writes its expiry;
+  // the serial μ step updates a_u and voids the certificates whose c_u grows.
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  constexpr double kNoCertificate = -std::numeric_limits<double>::infinity();
+  const double max_k = static_cast<double>(max_set_size);
+  const double rate_slack = 4.0 * kEps * max_k * (max_k + 2.0);
+  std::vector<double> expiry(static_cast<size_t>(nu), kNoCertificate);
+  std::vector<double> inv_rate(static_cast<size_t>(nu), 1.0 / rate_slack);
+  std::vector<int32_t> moved_bids(static_cast<size_t>(nu), 0);  // a_u
+  std::vector<uint8_t> event_moved(static_cast<size_t>(nv), 0);
+  double travel = 0.0;  // P_t = Σ_s ‖μ_{s+1} − μ_s‖_∞
+  double mu_hi = 0.0;   // max_v μ_v over the solve so far
+  for (const double m : mu) mu_hi = std::max(mu_hi, m);
 
   // The warm probe's step offset, (|U|/|V|)²/8: 50 at 4,000 users × 200
   // events. It was fitted on synthetic instances of 1,000 to 16,000 users;
@@ -300,6 +326,12 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
     // has nothing to range-check, which is why the stale mask is part of the
     // warm-start contract rather than a hint.
     const bool reuse_choices = warm_choices_ok && t == 1;
+    // The travel clock (P_t plus what its running sum may have lost to
+    // rounding) and the slack for rounding the four reduced costs that a
+    // certificate compares.
+    const double clock = travel + static_cast<double>(t + 4) * kEps * travel;
+    const double slack =
+        4.0 * kEps * (max_k + 2.0) * (wmax + max_k * mu_hi);
     const auto oracle_chunk = [&](int32_t lane, int64_t sb, int64_t se) {
       double* lu = lane_usage.data() + static_cast<size_t>(lane) * usage_stride;
       double* musum =
@@ -310,42 +342,64 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
             std::min<UserId>(nu, shard_begin + kUserShardSize);
         double lagr = 0.0;
         for (UserId u = shard_begin; u < shard_end; ++u) {
+          const size_t us = static_cast<size_t>(u);
           const int32_t begin = catalog.user_columns_begin(u);
           const int32_t end = catalog.user_columns_end(u);
           double best = 0.0;
           int32_t best_col = -1;
           bool reused = false;
           if (reuse_choices &&
-              (warm->stale.empty() ||
-               warm->stale[static_cast<size_t>(u)] == 0)) {
-            const int32_t cached = warm->choice[static_cast<size_t>(u)];
+              (warm->stale.empty() || warm->stale[us] == 0)) {
+            const int32_t cached = warm->choice[us];
             if (cached < 0 || (cached >= begin && cached < end)) {
               best_col = cached;
-              best = warm->choice_value[static_cast<size_t>(u)];
+              best = warm->choice_value[us];
               reused = true;
             }
           }
           if (!reused && begin < end) {
-            // Batched reduced costs: the per-column Σμ over each span is one
-            // SumColumnLanes call (AVX2 when available — μ is already a
-            // dense event-indexed lane, no gather setup needed), then a
-            // scalar argmax walk. The reduction order w − (μ₁+…+μₖ) is fixed
-            // and schedule-independent, so every thread count, warm/cold
-            // restart and dirty/canonical catalog computes the same bits.
-            const int32_t count = end - begin;
-            util::simd::SumColumnLanes(mu.data(), pool,
-                                       col_begin.data() + begin, count, musum);
-            for (int32_t k = 0; k < count; ++k) {
-              const double reduced =
-                  weight[static_cast<size_t>(begin + k)] - musum[k];
-              if (reduced > best) {
-                best = reduced;
-                best_col = begin + k;
+            if (clock < expiry[us]) {
+              // Certified: the full scan would pick the same column again.
+              // Its value goes through the same SumColumnLanes reduction,
+              // one column wide, so it has the bits the full scan gives.
+              best_col = current_choice[us];
+              if (best_col >= 0) {
+                util::simd::SumColumnLanes(mu.data(), pool,
+                                           col_begin.data() + best_col, 1,
+                                           musum);
+                best = weight[static_cast<size_t>(best_col)] - musum[0];
               }
+            } else {
+              // Batched reduced costs: the per-column Σμ over each span is
+              // one SumColumnLanes call (AVX2 when available — μ is already
+              // a dense event-indexed lane, no gather setup needed), then a
+              // scalar argmax walk. The reduction order w − (μ₁+…+μₖ) is
+              // fixed and schedule-independent, so every thread count,
+              // warm/cold restart and dirty/canonical catalog computes the
+              // same bits.
+              const int32_t count = end - begin;
+              util::simd::SumColumnLanes(mu.data(), pool,
+                                         col_begin.data() + begin, count,
+                                         musum);
+              double runner_up = -std::numeric_limits<double>::infinity();
+              for (int32_t k = 0; k < count; ++k) {
+                const double reduced =
+                    weight[static_cast<size_t>(begin + k)] - musum[k];
+                if (reduced > best) {
+                  runner_up = best;
+                  best = reduced;
+                  best_col = begin + k;
+                } else if (reduced > runner_up) {
+                  runner_up = reduced;
+                }
+              }
+              // margin > (c_u + rate_slack)·(clock − P_s) + slack, solved
+              // for the clock.
+              expiry[us] = travel + (best - runner_up - slack) * inv_rate[us];
             }
           }
-          current_choice[static_cast<size_t>(u)] = best_col;
-          current_value[static_cast<size_t>(u)] = best;
+          current_choice[us] = best_col;
+          current_value[us] = best;
           if (best_col >= 0) {
             lagr += best;
             ++chosen_count[static_cast<size_t>(best_col)];
@@ -447,10 +501,28 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
                               ? static_cast<double>(t) + probe_offset
                               : static_cast<double>(t);
     const double step = wmax / std::sqrt(step_t * gnorm2);
+    double moved_by = 0.0;
     for (EventId v = 0; v < nv; ++v) {
-      mu[static_cast<size_t>(v)] = std::max(
-          0.0, mu[static_cast<size_t>(v)] - step * grad[static_cast<size_t>(v)]);
+      double& mu_v = mu[static_cast<size_t>(v)];
+      const double next =
+          std::max(0.0, mu_v - step * grad[static_cast<size_t>(v)]);
+      if (next == mu_v) continue;
+      moved_by = std::max(moved_by, std::abs(next - mu_v));
+      mu_hi = std::max(mu_hi, next);
+      mu_v = next;
+      if (event_moved[static_cast<size_t>(v)] == 0) {
+        event_moved[static_cast<size_t>(v)] = 1;
+        for (const UserId u : instance.bidders(v)) {
+          const size_t us = static_cast<size_t>(u);
+          const int32_t two_k = 2 * MaxSetSize(instance, u);
+          if (moved_bids[us]++ >= two_k) continue;  // c_u stays 2·k_u
+          inv_rate[us] =
+              1.0 / (static_cast<double>(moved_bids[us]) + rate_slack);
+          expiry[us] = kNoCertificate;
+        }
+      }
     }
+    travel += moved_by;
   }
 
   sol.x = best_x;

@@ -107,6 +107,21 @@ struct StructuredDualOptions {
 /// loops walk live per-user ranges in user-major order, so the solve is
 /// bit-identical to running on the compacted/rebuilt catalog.
 ///
+/// The oracle rescans only the users whose best set can have changed
+/// (DESIGN.md §5, S19). Each full scan records the user's margin, its best
+/// reduced cost minus the runner-up (the empty set, worth 0, included); while
+/// that margin exceeds min(2·k_u, a_u) times the max-norm distance μ has
+/// travelled since, plus a rounding slack, the user's argmax provably stands
+/// and only its value is recomputed, through the same reduction as a full
+/// scan. Here k_u = min(c_u, |N_u|) bounds the user's set sizes and a_u
+/// counts its bids on events whose μ has moved in this solve. Every iterate,
+/// `x`, `duals`, the certificate and `warm_out` are therefore bit-identical
+/// to rescanning every user at every iteration. The bound relies on the
+/// catalog being `instance`'s admissible catalog (every set a subset of its
+/// user's bids, within the user's capacity), as Build, ApplyDelta and the
+/// shard catalogs of ShardedSolve guarantee. A catalog whose user or event
+/// count differs from the instance's is rejected with InvalidArgument.
+///
 /// When `warm_out` is non-null it captures the warm-start state of this
 /// solve (μ and per-user choices at the certified best μ) for the next
 /// re-solve; capturing costs nothing extra.

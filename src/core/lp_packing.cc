@@ -47,9 +47,7 @@ Result<FractionalSolution> SolveBenchmarkLpForPacking(
   if (options.alpha <= 0.0 || options.alpha > 1.0) {
     return Status::InvalidArgument("alpha must be in (0, 1]");
   }
-  if (catalog.num_users() != instance.num_users()) {
-    return Status::InvalidArgument("catalog size mismatch");
-  }
+  // SolveBenchmarkLpStructured rejects a catalog of another shape.
   FractionalSolution fractional;
   IGEPA_ASSIGN_OR_RETURN(
       fractional.lp,
@@ -66,9 +64,7 @@ Result<Arrangement> RoundFractional(const Instance& instance,
   if (options.alpha <= 0.0 || options.alpha > 1.0) {
     return Status::InvalidArgument("alpha must be in (0, 1]");
   }
-  if (catalog.num_users() != instance.num_users()) {
-    return Status::InvalidArgument("catalog size mismatch");
-  }
+  IGEPA_RETURN_IF_ERROR(catalog.CheckShape(instance));
   if (state_out != nullptr && options.repair_order != RepairOrder::kUserIndex) {
     return Status::InvalidArgument(
         "RoundingState export requires RepairOrder::kUserIndex");
@@ -367,9 +363,7 @@ Result<Arrangement> RepairSampledColumns(
     const std::vector<int32_t>& sampled_col) {
   const int32_t nu = instance.num_users();
   const int32_t nv = instance.num_events();
-  if (catalog.num_users() != nu) {
-    return Status::InvalidArgument("catalog size mismatch");
-  }
+  IGEPA_RETURN_IF_ERROR(catalog.CheckShape(instance));
   if (static_cast<int32_t>(sampled_col.size()) != nu) {
     return Status::InvalidArgument("sampled_col size mismatch");
   }
@@ -435,9 +429,7 @@ Result<Arrangement> RoundFractionalDelta(
     return Status::InvalidArgument(
         "RoundFractionalDelta requires RepairOrder::kUserIndex");
   }
-  if (catalog.num_users() != nu) {
-    return Status::InvalidArgument("catalog size mismatch");
-  }
+  IGEPA_RETURN_IF_ERROR(catalog.CheckShape(instance));
   const lp::LpSolution& lp_sol = fractional.lp;
   if (static_cast<int32_t>(lp_sol.x.size()) != catalog.num_columns()) {
     return Status::InvalidArgument("fractional solution size mismatch");
