@@ -10,9 +10,11 @@
 #      classic path) and the two arrangement utilities must agree within the
 #      legalizer tolerance — sharding is a decomposition of the same LP, not
 #      a different objective;
-#   4. both sharded runs must certify a small coordination gap, and the
-#      second solve must reproduce the first bit-for-bit when repeated
-#      (determinism at the process level);
+#   4. both sharded runs must certify a small coordination gap, the
+#      13-shard solve's level 2 must certify inside its fine-step probe
+#      (at most 127 coordination iterations at 100k × 200 — it warm-starts
+#      from the level-1 prices), and the second solve must reproduce the
+#      first bit-for-bit when repeated (determinism at the process level);
 #   5. the solve runs again with --memory-budget-mb (default 8, override via
 #      SCALE_BUDGET_MB): catalogs spill to the igepa-cat,1 file, level 2 runs
 #      on mmapped views under the residency manager, and the arrangement must
@@ -66,6 +68,7 @@ t_single=$(( $(now_ms) - t0 ))
 
 utility() { sed -n 's/^lp-packing.*utility \([0-9.]*\).*/\1/p' "$1"; }
 gap() { sed -n 's/.*gap \([0-9.e-]*\)).*/\1/p' "$1"; }
+iterations() { sed -n 's/.* \([0-9]*\) coordination iterations.*/\1/p' "$1"; }
 
 u_sharded=$(utility "$work/sharded.log")
 u_single=$(utility "$work/single.log")
@@ -88,6 +91,22 @@ awk -v a="$u_sharded" -v b="$u_single" 'BEGIN {
 awk -v g="$g_sharded" 'BEGIN {
   if (g > 0.05) { printf "FAIL: certified gap %.4f above 0.05\n", g; exit 1 }
 }'
+# Level 2 warm-starts from the level-1 prices and must certify inside its
+# fine-step probe: every averaging window (t = 1, 3, 7, …) that ends at or
+# before max(3, sqrt(T0)), T0 = (|U|/|V|)^2/8 — t <= 127 at 100k x 200. The
+# count is deterministic at any thread count.
+i_sharded=$(iterations "$work/sharded.log")
+[[ -n "$i_sharded" ]] || {
+  echo "FAIL: could not parse coordination iterations" >&2
+  exit 1
+}
+awk -v i="$i_sharded" -v u="$users" 'BEGIN {
+  limit = u / 200 / sqrt(8); if (limit < 3) limit = 3
+  probe = 3; while (2 * probe + 1 <= limit) probe = 2 * probe + 1
+  printf "== level 2: %d coordination iterations (probe ends at t = %d)\n",
+         i, probe
+  if (i > probe) { print "FAIL: level 2 did not certify inside its probe";
+                   exit 1 } }'
 
 echo "== determinism: repeat of the sharded solve must be byte-identical"
 solve "$work/sharded2.csv" "$work/sharded2.log" >/dev/null

@@ -42,8 +42,8 @@ struct DualWarmStart {
              uint64_t new_ids_revision);
 };
 
-/// Iterations between primal extractions and certified-gap checks, shared by
-/// the structured dual and ShardedSolve's level-2 coordination.
+/// Iterations between a cold solve's primal extractions and certified-gap
+/// checks.
 inline constexpr int64_t kGapCheckEvery = 25;
 
 /// Options for the structured benchmark-LP solver.
@@ -68,11 +68,11 @@ struct StructuredDualOptions {
   /// Optional warm start (borrowed; must outlive the solve). Seeds μ, and —
   /// when the cached choices address this catalog's ids — rescans only stale
   /// users at the first iteration. A warm solve also checks the gap at the
-  /// end of every averaging window (t = 1, 3, 7, 15, …) and takes fine steps
-  /// over its first two windows (t ≤ 3), as if (|U|/|V|)²/8 iterations had
-  /// already run; from t = 4 on it steps exactly like a cold solve. Both
-  /// primals are certified, so warm results match a cold solve within the
-  /// tolerance 2·target_gap (DESIGN.md S15).
+  /// end of every averaging window (t = 1, 3, 7, 15, …) and takes fine steps,
+  /// as if T0 = (|U|/|V|)²/8 iterations had already run, through every
+  /// window that ends at or before max(3, √T0); after that it steps exactly
+  /// like a cold solve. Both primals are certified, so warm results match a
+  /// cold solve within the tolerance 2·target_gap (DESIGN.md S15).
   const DualWarmStart* warm = nullptr;
 };
 
@@ -125,6 +125,9 @@ struct StructuredDualOptions {
 /// When `warm_out` is non-null it captures the warm-start state of this
 /// solve (μ and per-user choices at the certified best μ) for the next
 /// re-solve; capturing costs nothing extra.
+///
+/// The loop itself lives in structured_dual_core.h, which ShardedSolve's
+/// level 2 runs over its shard catalogs.
 Result<lp::LpSolution> SolveBenchmarkLpStructured(
     const Instance& instance, const AdmissibleCatalog& catalog,
     const StructuredDualOptions& options = {},

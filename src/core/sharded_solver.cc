@@ -4,36 +4,30 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <atomic>
-#include <cmath>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
-#include <limits>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
-#include "core/lp_packing.h"
 #include "core/polish_order.h"
 #include "core/shard_residency.h"
+#include "core/structured_dual_core.h"
 #include "core/utility_kernel.h"
 #include "io/catalog_spill.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace igepa {
 namespace core {
 namespace {
-
-/// Level-2 coordination: target certified relative duality gap on the global
-/// benchmark LP, and its iteration budget.
-constexpr double kCoordinationGap = 0.01;
-constexpr int64_t kCoordinationMaxIterations = 3000;
 
 /// Interest/interaction adapters that serve a shard's local user ids by
 /// delegating to the parent instance at `base + local_u` — overlays
@@ -71,53 +65,22 @@ class ShardInteractionModel final : public graph::InteractionModel {
   int32_t num_local_;
 };
 
-/// Global greedy-polish order: one entry per catalog column across every
-/// shard, sorted heaviest first with a unique (owner, shard, column) tiebreak
-/// so the order — and therefore the polish — is deterministic.
-struct ColumnRef {
-  double weight;
-  UserId global_user;
-  int32_t shard;
-  int32_t col;
-};
-
-/// Reorders `refs` in place so that refs[k] becomes the old refs[order[k]],
-/// walking each cycle of the permutation once. Leaves `order` as the
-/// identity.
-void PermuteInPlace(std::vector<int32_t>* order, std::vector<ColumnRef>* refs) {
-  for (size_t i = 0; i < order->size(); ++i) {
-    if ((*order)[i] == static_cast<int32_t>(i)) continue;
-    const ColumnRef first = (*refs)[i];
-    size_t j = i;
-    for (;;) {
-      const auto k = static_cast<size_t>((*order)[j]);
-      (*order)[j] = static_cast<int32_t>(j);
-      if (k == i) {
-        (*refs)[j] = first;
-        break;
-      }
-      (*refs)[j] = (*refs)[k];
-      j = k;
-    }
-  }
-}
-
 /// One level-1 unit: a contiguous user range with its own sub-instance,
-/// catalog and warm-dual state. On the spill path the catalog (and the
-/// sub-instance) are dropped right after level 1; everything level 2 needs —
-/// column count, widest user range, polish refs, the spill section index —
-/// is collected from Lanes() first.
+/// catalog and level-1 prices. On the spill path the catalog (and the
+/// sub-instance) are dropped right after level 1; everything level 2 needs
+/// besides the lanes — column count, widest user range, weights for the
+/// polish order, the spill section index — is collected from Lanes() first.
 struct Shard {
   UserId user_begin = 0;
   UserId user_end = 0;
   std::unique_ptr<Instance> instance;
   std::unique_ptr<AdmissibleCatalog> catalog;  // null once spilled
-  DualWarmStart warm;
+  std::vector<double> mu;  // level-1 event prices; empty when K = 1
   int64_t level1_iterations = 0;
   int32_t num_columns = 0;
   int32_t max_user_cols = 0;
   double wmax = 0.0;
-  std::vector<ColumnRef> refs;  // merged into by_weight, then freed
+  std::vector<double> weights;  // merged into the polish order, then freed
   int32_t spill_index = -1;
 
   int32_t num_local_users() const { return user_end - user_begin; }
@@ -165,20 +128,25 @@ std::string MakeSpillPath(const std::string& dir) {
 /// walks every column in global weight order, which hops shards on almost
 /// every step — for the LRU residency manager that is the pathological cyclic
 /// scan (measured ~100% miss under tight budgets, tens of millions of
-/// remaps). But the event set each ref needs is fixed before coordination
-/// starts, so the spill path writes them once, shard-major, as `[len, ev...]`
-/// int32 rows in by_weight order, and every extraction streams the rows back
-/// through one small buffer with zero residency traffic.
-struct PolishStream {
-  int fd = -1;
-  ~PolishStream() {
-    if (fd >= 0) ::close(fd);
-  }
+/// remaps). But everything the polish reads of a column — owner, weight and
+/// events — is fixed before level 2 starts, so the spill path writes it once,
+/// shard-major, as `[owner, weight (two words), len, events...]` int32 rows
+/// in polish order, and every extraction streams the rows back through one
+/// small buffer with zero residency traffic.
+constexpr int32_t kPolishRowHeader = 4;
+
+struct PolishRow {
+  UserId user;
+  double weight;
+  std::span<const EventId> events;
 };
 
 class PolishRowReader {
  public:
   explicit PolishRowReader(int fd) : fd_(fd), buf_(1 << 20) {}
+  ~PolishRowReader() { ::close(fd_); }
+  PolishRowReader(const PolishRowReader&) = delete;
+  PolishRowReader& operator=(const PolishRowReader&) = delete;
 
   void Rewind() {
     begin_ = 0;
@@ -186,15 +154,19 @@ class PolishRowReader {
     off_ = 0;
   }
 
-  /// The next row's events; the pointer stays valid until the next call.
-  Result<std::span<const EventId>> NextRow() {
-    IGEPA_ASSIGN_OR_RETURN(const int32_t* head, Take(1));
-    const int32_t len = *head;
-    // Take(1 + len) keeps the already-consumed length word in the window so
+  /// The next row; its events stay valid until the next call.
+  Result<PolishRow> NextRow() {
+    IGEPA_ASSIGN_OR_RETURN(const int32_t* head, Take(kPolishRowHeader));
+    const int32_t len = head[kPolishRowHeader - 1];
+    // Take(header + len) keeps the already-consumed header in the window so
     // the events land right behind it even when Fill compacts the buffer.
-    begin_ -= sizeof(int32_t);
-    IGEPA_ASSIGN_OR_RETURN(const int32_t* row, Take(1 + len));
-    return std::span<const EventId>(row + 1, static_cast<size_t>(len));
+    begin_ -= kPolishRowHeader * sizeof(int32_t);
+    IGEPA_ASSIGN_OR_RETURN(const int32_t* row, Take(kPolishRowHeader + len));
+    PolishRow out;
+    out.user = row[0];
+    std::memcpy(&out.weight, row + 1, sizeof(double));
+    out.events = {row + kPolishRowHeader, static_cast<size_t>(len)};
+    return out;
   }
 
  private:
@@ -244,6 +216,22 @@ Status BudgetTooSmall(uint64_t budget_bytes, uint64_t footprint_bytes) {
       std::to_string(min_mb) + " or more, or use fewer users per shard");
 }
 
+/// An allocation failed somewhere in the solve. The budget bounds only the
+/// resident shard catalogs, so name it and what else takes memory.
+Status OutOfMemory(uint64_t budget_bytes) {
+  const std::string budget =
+      budget_bytes > 0
+          ? "under a catalog memory budget of " + std::to_string(budget_bytes) +
+                " bytes (--memory-budget-mb " +
+                std::to_string(budget_bytes >> 20) + ")"
+          : "with no catalog memory budget (--memory-budget-mb 0)";
+  return Status::ResourceExhausted(
+      "sharded solve ran out of memory " + budget +
+      "; the budget bounds the resident shard catalogs, not the solver's "
+      "other state or each worker thread's heap — allow the process more "
+      "memory or run fewer --threads");
+}
+
 Status ValidateOptions(const ShardedSolveOptions& options) {
   if (options.users_per_shard < 1) {
     return Status::InvalidArgument("users_per_shard must be >= 1");
@@ -257,32 +245,201 @@ Status ValidateOptions(const ShardedSolveOptions& options) {
   return Status::OK();
 }
 
-}  // namespace
+/// Level 2's column source (structured_dual_core.h; DESIGN.md §8): one
+/// block per shard, served from the in-memory shard catalogs or, under a
+/// budget, through ShardResidency leases over the spill file. Both serve the
+/// same CatalogLanes and the same polish rows, so the solve cannot tell them
+/// apart: eviction and repage are bit-invisible.
+class ShardColumns {
+ public:
+  using View = CatalogLanes;
+  using Pin = ShardResidency::Lease;
 
-std::vector<UserId> ShardUserBounds(int32_t num_users,
-                                    const ShardedSolveOptions& options) {
-  if (num_users <= 0) return {0};
-  const int32_t per = std::max(1, options.users_per_shard);
-  int32_t k = options.num_shards > 0 ? options.num_shards
-                                     : (num_users + per - 1) / per;
-  k = std::clamp(k, 1, num_users);
-  // Balanced contiguous partition: the first (num_users mod k) shards carry
-  // one extra user. A pure function of (num_users, k).
-  std::vector<UserId> bounds(static_cast<size_t>(k) + 1, 0);
-  const int32_t base = num_users / k;
-  const int32_t extra = num_users % k;
-  for (int32_t s = 0; s < k; ++s) {
-    bounds[static_cast<size_t>(s) + 1] =
-        bounds[static_cast<size_t>(s)] + base + (s < extra ? 1 : 0);
+  /// `user_begin` and `column_begin` hold K + 1 entries; `inmem` holds the K
+  /// shard lanes when `residency` is null, else nothing.
+  ShardColumns(std::vector<UserId> user_begin,
+               std::vector<int32_t> column_begin, double wmax,
+               int32_t max_user_cols, std::vector<CatalogLanes> inmem,
+               ShardResidency* residency, std::vector<int32_t> spill_index,
+               uint64_t budget_bytes)
+      : user_begin_(std::move(user_begin)),
+        column_begin_(std::move(column_begin)),
+        wmax_(wmax),
+        max_user_cols_(max_user_cols),
+        inmem_(std::move(inmem)),
+        residency_(residency),
+        spill_index_(std::move(spill_index)),
+        budget_bytes_(budget_bytes) {}
+
+  int32_t num_blocks() const {
+    return static_cast<int32_t>(user_begin_.size()) - 1;
   }
-  return bounds;
-}
+  UserId block_user_begin(int32_t b) const {
+    return user_begin_[static_cast<size_t>(b)];
+  }
+  int32_t block_column_begin(int32_t b) const {
+    return column_begin_[static_cast<size_t>(b)];
+  }
+  int32_t num_columns() const { return column_begin_.back(); }
+  int64_t num_live_columns() const { return num_columns(); }
+  double wmax() const { return wmax_; }
+  int32_t max_user_columns() const { return max_user_cols_; }
+  uint64_t ids_revision() const { return 0; }
+  bool pins_blocks() const { return residency_ != nullptr; }
 
-Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
-                                 const ShardedSolveOptions& options,
-                                 ShardedSolveStats* stats) {
-  IGEPA_RETURN_IF_ERROR(ValidateOptions(options));
-  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
+  /// Runs on pool workers, so an allocation failure is caught here: an
+  /// exception that left a worker would terminate the process.
+  const View* Acquire(int32_t b, Pin* pin) {
+    if (residency_ == nullptr) return &inmem_[static_cast<size_t>(b)];
+    Status failed;
+    try {
+      auto lease = residency_->Acquire(spill_index_[static_cast<size_t>(b)]);
+      if (lease.ok()) {
+        *pin = std::move(lease).value();
+        return &pin->lanes();
+      }
+      failed = lease.status();
+    } catch (const std::bad_alloc&) {
+      failed = OutOfMemory(budget_bytes_);
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (status_.ok()) status_ = std::move(failed);
+    return nullptr;
+  }
+
+  /// Serial passes hold one lease and reuse it across consecutive calls for
+  /// the same shard, so a shard-major pass pages each shard in at most once.
+  Result<const View*> Serial(int32_t b) {
+    if (residency_ == nullptr) return &inmem_[static_cast<size_t>(b)];
+    if (serial_block_ != b) {
+      DropSerial();
+      IGEPA_ASSIGN_OR_RETURN(
+          serial_pin_, residency_->Acquire(spill_index_[static_cast<size_t>(b)]));
+      serial_block_ = b;
+    }
+    return &serial_pin_.lanes();
+  }
+  void DropSerial() {
+    serial_pin_.Release();
+    serial_block_ = -1;
+  }
+  Status status() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return status_;
+  }
+
+  /// Sorts the polish order from every column's weight (by global id) and,
+  /// on the spill path, writes the polish side stream in that order.
+  Status PreparePolish(const std::vector<double>& weights,
+                       const std::string& spill_dir) {
+    // Shards own ascending user ranges and list their columns user-major,
+    // so global ids are in (owner, id) order and the stable weight sort
+    // yields the (weight desc, owner, id) order of the monolithic solve.
+    polish_order_.resize(weights.size());
+    std::iota(polish_order_.begin(), polish_order_.end(), 0);
+    SortByWeightDescending(&polish_order_, [&](int32_t j) {
+      return weights[static_cast<size_t>(j)];
+    });
+    if (residency_ == nullptr) return Status::OK();
+
+    // Two shard-major passes, sizes then rows, cost one lease per shard
+    // each. `row_at` holds each column's row size, then its row's offset.
+    std::vector<int64_t> row_at(polish_order_.size());
+    for (int32_t b = 0; b < num_blocks(); ++b) {
+      IGEPA_ASSIGN_OR_RETURN(const View* lanes, Serial(b));
+      for (int32_t lj = 0; lj < lanes->num_columns; ++lj) {
+        row_at[static_cast<size_t>(block_column_begin(b) + lj)] =
+            kPolishRowHeader + static_cast<int64_t>(lanes->set(lj).size());
+      }
+    }
+    int64_t words = 0;
+    for (const int32_t j : polish_order_) {
+      const int64_t size = row_at[static_cast<size_t>(j)];
+      row_at[static_cast<size_t>(j)] = words;
+      words += size;
+    }
+    std::vector<int32_t> image(static_cast<size_t>(words));
+    for (int32_t b = 0; b < num_blocks(); ++b) {
+      IGEPA_ASSIGN_OR_RETURN(const View* lanes, Serial(b));
+      for (int32_t lj = 0; lj < lanes->num_columns; ++lj) {
+        const std::span<const EventId> set = lanes->set(lj);
+        int32_t* row = image.data() + row_at[static_cast<size_t>(
+                                          block_column_begin(b) + lj)];
+        row[0] = block_user_begin(b) + lanes->user_of(lj);
+        std::memcpy(row + 1, &lanes->weight[lj], sizeof(double));
+        row[kPolishRowHeader - 1] = static_cast<int32_t>(set.size());
+        std::copy(set.begin(), set.end(), row + kPolishRowHeader);
+      }
+    }
+    DropSerial();
+    std::vector<int64_t>().swap(row_at);
+
+    const std::string path = MakeSpillPath(spill_dir);
+    const int fd =
+        ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+    if (fd < 0) {
+      return Status::IOError("cannot create polish stream file " + path);
+    }
+    ::unlink(path.c_str());
+    reader_.emplace(fd);
+    const auto* bytes = reinterpret_cast<const uint8_t*>(image.data());
+    const size_t total = image.size() * sizeof(int32_t);
+    size_t written = 0;
+    while (written < total) {
+      const ssize_t n = ::write(fd, bytes + written, total - written);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return Status::IOError("polish stream write failed");
+      }
+      written += static_cast<size_t>(n);
+    }
+    return Status::OK();
+  }
+
+  /// The spill path reads the polish rows from the side stream; the
+  /// in-memory path reads the same values from the shard lanes.
+  template <typename Fn>
+  Status ForEachPolishColumn(Fn&& fn) {
+    if (reader_) {
+      reader_->Rewind();
+      for (const int32_t j : polish_order_) {
+        IGEPA_ASSIGN_OR_RETURN(const PolishRow row, reader_->NextRow());
+        fn(j, row.user, row.weight, [&row] { return row.events; });
+      }
+      return Status::OK();
+    }
+    for (const int32_t j : polish_order_) {
+      const auto b = static_cast<size_t>(
+          std::upper_bound(column_begin_.begin() + 1, column_begin_.end(), j) -
+          (column_begin_.begin() + 1));
+      const CatalogLanes& lanes = inmem_[b];
+      const int32_t lj = j - column_begin_[b];
+      fn(j, user_begin_[b] + lanes.user_of(lj), lanes.weight[lj],
+         [&lanes, lj] { return lanes.set(lj); });
+    }
+    return Status::OK();
+  }
+
+ private:
+  std::vector<UserId> user_begin_;
+  std::vector<int32_t> column_begin_;
+  double wmax_;
+  int32_t max_user_cols_;
+  std::vector<CatalogLanes> inmem_;
+  ShardResidency* residency_;
+  std::vector<int32_t> spill_index_;
+  uint64_t budget_bytes_;
+  Pin serial_pin_;
+  int32_t serial_block_ = -1;
+  std::vector<int32_t> polish_order_;
+  std::optional<PolishRowReader> reader_;
+  std::mutex mutex_;
+  Status status_;
+};
+
+Result<Arrangement> ShardedSolveImpl(const Instance& instance, Rng* rng,
+                                     const ShardedSolveOptions& options,
+                                     ShardedSolveStats* stats) {
   const int32_t nv = instance.num_events();
   const int32_t nu = instance.num_users();
   if (nu == 0 || nv == 0) return Arrangement(nv, nu);
@@ -310,19 +467,21 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
     ::unlink(spill->path().c_str());
   }
 
-  // ---- Level 1: independent per-shard catalogs + warm solves. --------------
+  // ---- Level 1: independent per-shard catalogs + loose solves. -------------
   // Shard instances see 1/K-scaled event capacities (capacity only feeds the
   // LP rows, never the admissible-set enumeration), so each shard prices its
   // fair slice of every event and the averaged duals land near the global
-  // clearing prices. Everything level 2 needs beyond the lanes themselves
-  // (column count, polish refs, wmax, widest user range) is collected here,
-  // while the catalog is still in RAM; on the spill path the catalog and the
-  // sub-instance are then dropped.
+  // clearing prices. At K = 1 there is nothing to coordinate: the shard
+  // catalog is built (and spilled) but not solved, and level 2 runs cold.
+  // Everything level 2 needs beyond the lanes themselves (column count,
+  // weights, wmax, widest user range) is collected here, while the catalog
+  // is still in RAM; on the spill path the catalog and the sub-instance are
+  // then dropped.
   IGEPA_ASSIGN_OR_RETURN(
       std::shared_ptr<const UtilityKernel> kernel,
       MakeUtilityKernel(instance.kernel().id()));
   std::vector<Shard> shards(static_cast<size_t>(num_shards));
-  const auto level1_shard = [&](int32_t si) -> Status {
+  const auto build_shard = [&](int32_t si) -> Status {
     Shard& shard = shards[static_cast<size_t>(si)];
     shard.user_begin = bounds[static_cast<size_t>(si)];
     shard.user_end = bounds[static_cast<size_t>(si) + 1];
@@ -350,14 +509,18 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
     admissible.num_threads = 1;  // shards are the parallel unit
     shard.catalog = std::make_unique<AdmissibleCatalog>(
         AdmissibleCatalog::Build(*shard.instance, admissible));
-    StructuredDualOptions level1 = options.level1;
-    level1.num_threads = 1;
-    level1.workers = nullptr;
-    level1.warm = nullptr;
-    auto solved = SolveBenchmarkLpStructured(*shard.instance, *shard.catalog,
-                                             level1, &shard.warm);
-    IGEPA_RETURN_IF_ERROR(solved.status());
-    shard.level1_iterations = solved->iterations;
+    if (num_shards > 1) {
+      StructuredDualOptions level1 = options.level1;
+      level1.num_threads = 1;
+      level1.workers = nullptr;
+      level1.warm = nullptr;
+      DualWarmStart prices;
+      auto solved = SolveBenchmarkLpStructured(*shard.instance, *shard.catalog,
+                                               level1, &prices);
+      IGEPA_RETURN_IF_ERROR(solved.status());
+      shard.level1_iterations = solved->iterations;
+      shard.mu = std::move(prices.mu);
+    }
 
     const CatalogLanes lanes = shard.catalog->Lanes();
     shard.num_columns = lanes.num_columns;
@@ -366,19 +529,22 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
           std::max(shard.max_user_cols,
                    lanes.user_columns_end(lu) - lanes.user_columns_begin(lu));
     }
-    shard.refs.reserve(static_cast<size_t>(lanes.num_columns));
-    for (int32_t j = 0; j < lanes.num_columns; ++j) {
-      const double w = lanes.weight[j];
-      shard.wmax = std::max(shard.wmax, w);
-      shard.refs.push_back(
-          ColumnRef{w, shard.user_begin + lanes.user_of(j), si, j});
-    }
+    shard.weights.assign(lanes.weight, lanes.weight + lanes.num_columns);
+    for (const double w : shard.weights) shard.wmax = std::max(shard.wmax, w);
     if (spill) {
       IGEPA_ASSIGN_OR_RETURN(shard.spill_index, spill->Append(lanes));
       shard.catalog.reset();
       shard.instance.reset();
     }
     return Status::OK();
+  };
+  // Level-1 shards run as pool tasks, which must not throw.
+  const auto level1_shard = [&](int32_t si) -> Status {
+    try {
+      return build_shard(si);
+    } catch (const std::bad_alloc&) {
+      return OutOfMemory(options.memory_budget_bytes);
+    }
   };
 
   std::vector<Status> shard_status(static_cast<size_t>(num_shards),
@@ -426,20 +592,23 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
   }
 
   // Merge the per-shard metadata in shard index order.
-  int64_t total_columns = 0;
+  std::vector<int32_t> column_begin(static_cast<size_t>(num_shards) + 1, 0);
   int64_t level1_iterations = 0;
   int32_t max_user_cols = 0;
   double wmax = 0.0;
-  for (const Shard& shard : shards) {
-    total_columns += shard.num_columns;
+  for (int32_t si = 0; si < num_shards; ++si) {
+    const Shard& shard = shards[static_cast<size_t>(si)];
+    column_begin[static_cast<size_t>(si) + 1] =
+        column_begin[static_cast<size_t>(si)] + shard.num_columns;
     level1_iterations += shard.level1_iterations;
     max_user_cols = std::max(max_user_cols, shard.max_user_cols);
     wmax = std::max(wmax, shard.wmax);
   }
+  const int32_t total_columns = column_begin.back();
   if (stats != nullptr) {
     *stats = ShardedSolveStats{};
     stats->num_shards = num_shards;
-    stats->num_columns = static_cast<int32_t>(total_columns);
+    stats->num_columns = total_columns;
     stats->level1_iterations = level1_iterations;
     if (spill) {
       stats->spill_bytes = spill->total_bytes();
@@ -448,523 +617,100 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
   }
   if (total_columns == 0) return Arrangement(nv, nu);
 
-  std::vector<ColumnRef> by_weight;
-  by_weight.reserve(static_cast<size_t>(total_columns));
-  for (Shard& shard : shards) {
-    by_weight.insert(by_weight.end(), shard.refs.begin(), shard.refs.end());
-    std::vector<ColumnRef>().swap(shard.refs);
-  }
-  // Shards own ascending user ranges and list their columns user-major, so
-  // the concatenation is in (owner, col) order and the stable weight sort
-  // yields the total (weight desc, owner, col) order. It sorts positions and
-  // then permutes the refs in place, so its scratch is 8 bytes per column
-  // rather than a second copy of the refs.
-  std::vector<int32_t> order(by_weight.size());
-  std::iota(order.begin(), order.end(), 0);
-  SortByWeightDescending(&order, [&](int32_t k) {
-    return by_weight[static_cast<size_t>(k)].weight;
-  });
-  PermuteInPlace(&order, &by_weight);
-  if (wmax <= 0.0) wmax = 1.0;
-
   // ---- Catalog access: one lane contract for both residency modes. ---------
   // In-memory shards serve AdmissibleCatalog::Lanes(); spilled shards serve
-  // mmapped CatalogView lanes through the LRU residency manager. Level 2,
-  // extraction and legalize only ever see CatalogLanes, so eviction/repage
-  // cannot change a bit of the result.
+  // mmapped CatalogView lanes through the LRU residency manager.
   std::optional<ShardResidency> residency;
   if (spill) residency.emplace(&*spill, options.memory_budget_bytes);
-  std::vector<CatalogLanes> inmem_lanes(static_cast<size_t>(num_shards));
-  if (!spill) {
-    for (int32_t si = 0; si < num_shards; ++si) {
-      inmem_lanes[static_cast<size_t>(si)] =
-          shards[static_cast<size_t>(si)].catalog->Lanes();
-    }
+  std::vector<CatalogLanes> inmem_lanes;
+  std::vector<int32_t> spill_index(static_cast<size_t>(num_shards), -1);
+  for (int32_t si = 0; si < num_shards; ++si) {
+    const Shard& shard = shards[static_cast<size_t>(si)];
+    if (!spill) inmem_lanes.push_back(shard.catalog->Lanes());
+    spill_index[static_cast<size_t>(si)] = shard.spill_index;
   }
-  // Serial-context accessor (extraction, legalize): holds one lease at a
-  // time and reuses it across consecutive calls for the same shard, so
-  // shard-major passes page each shard in at most once.
-  ShardResidency::Lease serial_lease;
-  int32_t serial_shard = -1;
-  const auto lanes_of = [&](int32_t si) -> Result<const CatalogLanes*> {
-    if (!residency) return &inmem_lanes[static_cast<size_t>(si)];
-    if (serial_shard != si) {
-      serial_lease.Release();
-      auto lease =
-          residency->Acquire(shards[static_cast<size_t>(si)].spill_index);
-      if (!lease.ok()) return lease.status();
-      serial_lease = std::move(lease).value();
-      serial_shard = si;
+  ShardColumns columns(bounds, column_begin, wmax, max_user_cols,
+                       std::move(inmem_lanes),
+                       residency ? &*residency : nullptr,
+                       std::move(spill_index), options.memory_budget_bytes);
+  {
+    std::vector<double> weights;
+    weights.reserve(static_cast<size_t>(total_columns));
+    for (Shard& shard : shards) {
+      weights.insert(weights.end(), shard.weights.begin(),
+                     shard.weights.end());
+      std::vector<double>().swap(shard.weights);
     }
-    return &serial_lease.lanes();
-  };
-
-  // Spill mode: lay the polish rows out on disk before level-2 state is
-  // allocated, so the build transients (rank map, offsets, image) do not
-  // stack on top of the coordination vectors. Two shard-major passes — sizes,
-  // then fill — cost one lease acquire per shard each.
-  PolishStream polish;
-  std::optional<PolishRowReader> polish_reader;
-  if (residency) {
-    std::vector<std::vector<int32_t>> rank(static_cast<size_t>(num_shards));
-    for (int32_t si = 0; si < num_shards; ++si) {
-      rank[static_cast<size_t>(si)].resize(
-          static_cast<size_t>(shards[static_cast<size_t>(si)].num_columns));
-    }
-    for (size_t k = 0; k < by_weight.size(); ++k) {
-      rank[static_cast<size_t>(by_weight[k].shard)]
-          [static_cast<size_t>(by_weight[k].col)] = static_cast<int32_t>(k);
-    }
-    std::vector<int64_t> row_off(by_weight.size() + 1, 0);
-    for (int32_t si = 0; si < num_shards; ++si) {
-      IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes, lanes_of(si));
-      const auto& shard_rank = rank[static_cast<size_t>(si)];
-      for (int32_t c = 0; c < shards[static_cast<size_t>(si)].num_columns;
-           ++c) {
-        row_off[static_cast<size_t>(shard_rank[static_cast<size_t>(c)]) + 1] =
-            1 + static_cast<int64_t>(lanes->set(c).size());
-      }
-    }
-    for (size_t k = 1; k < row_off.size(); ++k) {
-      row_off[k] += row_off[k - 1];
-    }
-    std::vector<int32_t> image(static_cast<size_t>(row_off.back()));
-    for (int32_t si = 0; si < num_shards; ++si) {
-      IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes, lanes_of(si));
-      const auto& shard_rank = rank[static_cast<size_t>(si)];
-      for (int32_t c = 0; c < shards[static_cast<size_t>(si)].num_columns;
-           ++c) {
-        const std::span<const EventId> set = lanes->set(c);
-        int64_t w = row_off[static_cast<size_t>(
-            shard_rank[static_cast<size_t>(c)])];
-        image[static_cast<size_t>(w)] = static_cast<int32_t>(set.size());
-        std::copy(set.begin(), set.end(),
-                  image.begin() + static_cast<size_t>(w) + 1);
-      }
-    }
-    serial_lease.Release();
-    serial_shard = -1;
-    std::vector<std::vector<int32_t>>().swap(rank);
-    std::vector<int64_t>().swap(row_off);
-
-    const std::string polish_path = MakeSpillPath(options.spill_dir);
-    polish.fd =
-        ::open(polish_path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
-               0600);
-    if (polish.fd < 0) {
-      return Status::IOError("cannot create polish stream file " +
-                             polish_path);
-    }
-    ::unlink(polish_path.c_str());
-    const auto* bytes = reinterpret_cast<const uint8_t*>(image.data());
-    const size_t total = image.size() * sizeof(int32_t);
-    size_t written = 0;
-    while (written < total) {
-      const ssize_t n = ::write(polish.fd, bytes + written, total - written);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError("polish stream write failed");
-      }
-      written += static_cast<size_t>(n);
-    }
-    polish_reader.emplace(polish.fd);
+    IGEPA_RETURN_IF_ERROR(columns.PreparePolish(weights, options.spill_dir));
   }
 
   // ---- Level 2: coordinate the shared event prices. ------------------------
-  // Seed μ with the shard-average of the level-1 duals (summed in shard
-  // order) and run projected subgradient descent on the global Lagrangian,
-  // whose oracle term decomposes exactly across shards.
-  std::vector<double> caps(static_cast<size_t>(nv));
-  for (EventId v = 0; v < nv; ++v) {
-    caps[static_cast<size_t>(v)] =
-        static_cast<double>(instance.event_capacity(v));
+  // The global Lagrangian's oracle term decomposes exactly across shards,
+  // so level 2 is the structured dual over all shard catalogs at once: a
+  // warm solve from the shard-average of the level-1 duals (summed in shard
+  // order), with the monolithic solve's default target gap and budget.
+  DualWarmStart seed;
+  StructuredDualOptions level2;
+  level2.workers = pool;
+  if (num_shards > 1) {
+    seed.mu.assign(static_cast<size_t>(nv), 0.0);
+    for (const Shard& shard : shards) {
+      for (EventId v = 0; v < nv; ++v) {
+        seed.mu[static_cast<size_t>(v)] += shard.mu[static_cast<size_t>(v)];
+      }
+    }
+    for (double& m : seed.mu) m /= static_cast<double>(num_shards);
+    level2.warm = &seed;
   }
-  std::vector<double> mu(static_cast<size_t>(nv), 0.0);
-  for (const Shard& shard : shards) {
-    for (EventId v = 0; v < nv; ++v) {
-      mu[static_cast<size_t>(v)] += shard.warm.mu[static_cast<size_t>(v)];
-    }
-  }
-  for (double& m : mu) m /= static_cast<double>(num_shards);
-
-  // Per-shard working state; every cross-shard reduction merges these in
-  // shard index order, which is what pins bit-identity at any thread count.
-  std::vector<std::vector<int32_t>> choice(static_cast<size_t>(num_shards));
-  std::vector<std::vector<int64_t>> count(static_cast<size_t>(num_shards));
-  std::vector<std::vector<double>> usage(static_cast<size_t>(num_shards));
-  std::vector<std::vector<double>> x(static_cast<size_t>(num_shards));
-  std::vector<std::vector<double>> best_x(static_cast<size_t>(num_shards));
-  std::vector<double> partial(static_cast<size_t>(num_shards), 0.0);
-  std::vector<std::vector<double>> musum(static_cast<size_t>(num_shards));
-  for (int32_t si = 0; si < num_shards; ++si) {
-    const int32_t cols = shards[static_cast<size_t>(si)].num_columns;
-    choice[static_cast<size_t>(si)].assign(
-        static_cast<size_t>(shards[static_cast<size_t>(si)].num_local_users()),
-        -1);
-    count[static_cast<size_t>(si)].assign(static_cast<size_t>(cols), 0);
-    usage[static_cast<size_t>(si)].assign(static_cast<size_t>(nv), 0.0);
-    x[static_cast<size_t>(si)].assign(static_cast<size_t>(cols), 0.0);
-    best_x[static_cast<size_t>(si)].assign(static_cast<size_t>(cols), 0.0);
-    musum[static_cast<size_t>(si)].assign(
-        static_cast<size_t>(std::max(1, max_user_cols)), 0.0);
-  }
-  std::vector<double> used(static_cast<size_t>(nv), 0.0);
-  std::vector<double> factor(static_cast<size_t>(nv), 1.0);
-  std::vector<double> user_mass(static_cast<size_t>(nu), 0.0);
-
-  double best_ub = std::numeric_limits<double>::infinity();
-  double best_primal = -std::numeric_limits<double>::infinity();
-  double gap = std::numeric_limits<double>::infinity();
-  int64_t avg_started_at = 1;
-  int64_t iterations_run = 0;
-
-  // Fractional extraction: suffix-averaged choice frequencies, scaled down
-  // on overloaded events (each column by the min factor over its events, so
-  // post-scale usage provably fits), then greedily polished heaviest-first.
-  const auto extract_primal = [&](int64_t avg_count) -> Result<double> {
-    std::fill(used.begin(), used.end(), 0.0);
-    std::fill(user_mass.begin(), user_mass.end(), 0.0);
-    for (int32_t si = 0; si < num_shards; ++si) {
-      const Shard& shard = shards[static_cast<size_t>(si)];
-      IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes, lanes_of(si));
-      auto& xs = x[static_cast<size_t>(si)];
-      const auto& cs = count[static_cast<size_t>(si)];
-      for (int32_t j = 0; j < shard.num_columns; ++j) {
-        xs[static_cast<size_t>(j)] =
-            static_cast<double>(cs[static_cast<size_t>(j)]) /
-            static_cast<double>(avg_count);
-        for (EventId v : lanes->set(j)) {
-          used[static_cast<size_t>(v)] += xs[static_cast<size_t>(j)];
-        }
-      }
-    }
-    for (EventId v = 0; v < nv; ++v) {
-      factor[static_cast<size_t>(v)] =
-          used[static_cast<size_t>(v)] > caps[static_cast<size_t>(v)]
-              ? caps[static_cast<size_t>(v)] / used[static_cast<size_t>(v)]
-              : 1.0;
-    }
-    std::fill(used.begin(), used.end(), 0.0);
-    for (int32_t si = 0; si < num_shards; ++si) {
-      const Shard& shard = shards[static_cast<size_t>(si)];
-      IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes, lanes_of(si));
-      auto& xs = x[static_cast<size_t>(si)];
-      for (int32_t j = 0; j < shard.num_columns; ++j) {
-        if (xs[static_cast<size_t>(j)] <= 0.0) continue;
-        double f = 1.0;
-        for (EventId v : lanes->set(j)) {
-          f = std::min(f, factor[static_cast<size_t>(v)]);
-        }
-        xs[static_cast<size_t>(j)] *= f;
-        const UserId gu = shard.user_begin + lanes->user_of(j);
-        user_mass[static_cast<size_t>(gu)] += xs[static_cast<size_t>(j)];
-        for (EventId v : lanes->set(j)) {
-          used[static_cast<size_t>(v)] += xs[static_cast<size_t>(j)];
-        }
-      }
-    }
-    // Spill mode reads each ref's event set from the sequential polish
-    // stream (the weight-ordered walk is a cyclic scan over shards — LRU's
-    // worst case); in-memory mode reads the same values from the lanes. The
-    // stream must advance one row per ref, even refs the lane-free bounds
-    // reject.
-    if (polish_reader) polish_reader->Rewind();
-    for (const ColumnRef& ref : by_weight) {
-      std::span<const EventId> set;
-      if (polish_reader) {
-        IGEPA_ASSIGN_OR_RETURN(set, polish_reader->NextRow());
-      }
-      double& xj = x[static_cast<size_t>(ref.shard)][static_cast<size_t>(
-          ref.col)];
-      double room = std::min(1.0 - xj,
-                             1.0 - user_mass[static_cast<size_t>(
-                                       ref.global_user)]);
-      if (room <= 1e-12) continue;
-      if (!polish_reader) {
-        IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes,
-                               lanes_of(ref.shard));
-        set = lanes->set(ref.col);
-      }
-      for (EventId v : set) {
-        room = std::min(room, caps[static_cast<size_t>(v)] -
-                                  used[static_cast<size_t>(v)]);
-        if (room <= 1e-12) break;
-      }
-      if (room <= 1e-12) continue;
-      xj += room;
-      user_mass[static_cast<size_t>(ref.global_user)] += room;
-      for (EventId v : set) {
-        used[static_cast<size_t>(v)] += room;
-      }
-    }
-    double objective = 0.0;
-    for (int32_t si = 0; si < num_shards; ++si) {
-      const Shard& shard = shards[static_cast<size_t>(si)];
-      IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes, lanes_of(si));
-      double shard_obj = 0.0;
-      for (int32_t j = 0; j < shard.num_columns; ++j) {
-        shard_obj += lanes->weight[j] *
-                     x[static_cast<size_t>(si)][static_cast<size_t>(j)];
-      }
-      objective += shard_obj;
-    }
-    return objective;
-  };
-
-  std::vector<Status> sweep_status(static_cast<size_t>(num_shards),
-                                   Status::OK());
-  for (int64_t t = 1; t <= kCoordinationMaxIterations; ++t) {
-    iterations_run = t;
-    // The serial accessor's lease must drop before the parallel sweep: at
-    // max_pinned == 1 a pin held across the ParallelFor would block every
-    // sweep worker's Acquire forever while the main thread waits on them.
-    serial_lease.Release();
-    serial_shard = -1;
-    // Oracle sweep, one shard per work item: SIMD-batched μ sums over each
-    // user's columns, first-best argmax (ties → lowest column id). Each
-    // worker pins at most one spilled shard at a time and releases it before
-    // the next, so the sweep itself cannot deadlock on the residency budget
-    // even at max_pinned == 1.
-    pool->ParallelFor(0, num_shards, 1, [&](int32_t, int64_t b, int64_t e) {
-      for (int64_t si = b; si < e; ++si) {
-        const Shard& shard = shards[static_cast<size_t>(si)];
-        ShardResidency::Lease lease;
-        const CatalogLanes* lanes;
-        if (residency) {
-          auto acquired = residency->Acquire(shard.spill_index);
-          if (!acquired.ok()) {
-            sweep_status[static_cast<size_t>(si)] = acquired.status();
-            continue;
-          }
-          lease = std::move(acquired).value();
-          lanes = &lease.lanes();
-        } else {
-          lanes = &inmem_lanes[static_cast<size_t>(si)];
-        }
-        const int32_t* cat_pool = lanes->pool;
-        const int64_t* col_begin = lanes->col_begin;
-        const double* weights = lanes->weight;
-        auto& shard_choice = choice[static_cast<size_t>(si)];
-        auto& shard_count = count[static_cast<size_t>(si)];
-        auto& shard_usage = usage[static_cast<size_t>(si)];
-        double& shard_partial = partial[static_cast<size_t>(si)];
-        double* scratch = musum[static_cast<size_t>(si)].data();
-        shard_partial = 0.0;
-        std::fill(shard_usage.begin(), shard_usage.end(), 0.0);
-        for (int32_t lu = 0; lu < shard.num_local_users(); ++lu) {
-          const int32_t begin = lanes->user_columns_begin(lu);
-          const int32_t span = lanes->user_columns_end(lu) - begin;
-          int32_t best_col = -1;
-          double best = 0.0;
-          if (span > 0) {
-            util::simd::SumColumnLanes(mu.data(), cat_pool, col_begin + begin,
-                                       span, scratch);
-            for (int32_t k = 0; k < span; ++k) {
-              const double value = weights[begin + k] - scratch[k];
-              if (value > best) {
-                best = value;
-                best_col = begin + k;
-              }
-            }
-          }
-          shard_choice[static_cast<size_t>(lu)] = best_col;
-          if (best_col >= 0) {
-            shard_partial += best;
-            shard_count[static_cast<size_t>(best_col)] += 1;
-            for (EventId v : lanes->set(best_col)) {
-              shard_usage[static_cast<size_t>(v)] += 1.0;
-            }
-          }
-        }
-      }
-    });
-    for (const Status& s : sweep_status) {
-      IGEPA_RETURN_IF_ERROR(s);
-    }
-
-    // Merge in shard order: the Lagrangian value and the usage subgradient.
-    double lagrangian = 0.0;
-    for (EventId v = 0; v < nv; ++v) {
-      lagrangian += caps[static_cast<size_t>(v)] * mu[static_cast<size_t>(v)];
-    }
-    for (int32_t si = 0; si < num_shards; ++si) {
-      lagrangian += partial[static_cast<size_t>(si)];
-    }
-    best_ub = std::min(best_ub, lagrangian);
-
-    bool done = false;
-    if (t % kGapCheckEvery == 0 || t == 1 ||
-        t == kCoordinationMaxIterations) {
-      const int64_t avg_count = t - avg_started_at + 1;
-      IGEPA_ASSIGN_OR_RETURN(const double objective,
-                             extract_primal(avg_count));
-      if (objective > best_primal) {
-        best_primal = objective;
-        for (int32_t si = 0; si < num_shards; ++si) {
-          best_x[static_cast<size_t>(si)] = x[static_cast<size_t>(si)];
-        }
-      }
-      gap = (best_ub - best_primal) / std::max(1.0, std::abs(best_ub));
-      if (gap <= kCoordinationGap) done = true;
-    }
-    if (done) break;
-
-    double gnorm2 = 0.0;
-    for (EventId v = 0; v < nv; ++v) {
-      double g = caps[static_cast<size_t>(v)];
-      for (int32_t si = 0; si < num_shards; ++si) {
-        g -= usage[static_cast<size_t>(si)][static_cast<size_t>(v)];
-      }
-      factor[static_cast<size_t>(v)] = g;  // reuse as gradient scratch
-      gnorm2 += g * g;
-    }
-    if (gnorm2 <= 1e-18) {
-      // Complementary slackness: the current iterate clears every market, so
-      // L(μ) is optimal. Re-extract from this single iterate and stop.
-      for (auto& shard_count : count) {
-        std::fill(shard_count.begin(), shard_count.end(), 0);
-      }
-      for (int32_t si = 0; si < num_shards; ++si) {
-        for (int32_t c : choice[static_cast<size_t>(si)]) {
-          if (c >= 0) count[static_cast<size_t>(si)][static_cast<size_t>(c)] = 1;
-        }
-      }
-      IGEPA_ASSIGN_OR_RETURN(const double objective, extract_primal(1));
-      if (objective > best_primal) {
-        best_primal = objective;
-        for (int32_t si = 0; si < num_shards; ++si) {
-          best_x[static_cast<size_t>(si)] = x[static_cast<size_t>(si)];
-        }
-      }
-      gap = (best_ub - best_primal) / std::max(1.0, std::abs(best_ub));
-      break;
-    }
-    const double step =
-        wmax / std::sqrt(static_cast<double>(t) * gnorm2);
-    for (EventId v = 0; v < nv; ++v) {
-      mu[static_cast<size_t>(v)] = std::max(
-          0.0, mu[static_cast<size_t>(v)] - step * factor[static_cast<size_t>(v)]);
-    }
-    // Doubling restart of the averaging window (same cadence as the
-    // monolithic solver): each window is twice as long as the last, so the
-    // average forgets the pre-convergence iterates geometrically.
-    if (t + 1 >= 2 * avg_started_at) {
-      for (auto& shard_count : count) {
-        std::fill(shard_count.begin(), shard_count.end(), 0);
-      }
-      avg_started_at = t + 1;
-    }
-  }
-
+  IGEPA_ASSIGN_OR_RETURN(
+      const lp::LpSolution coordinated,
+      SolveStructuredDual(instance, columns, level2, /*warm_out=*/nullptr));
   if (stats != nullptr) {
-    stats->lp_objective = best_primal;
-    stats->lp_upper_bound = best_ub;
-    stats->gap = gap;
-    stats->coordination_iterations = iterations_run;
+    stats->lp_objective = coordinated.objective;
+    stats->lp_upper_bound = coordinated.upper_bound;
+    stats->gap = coordinated.RelativeGap();
+    stats->coordination_iterations = coordinated.iterations;
   }
 
   // ---- Legalize: one global rounding/repair sweep. -------------------------
-  // RoundFractional's exact semantics lifted across shards: one pre-drawn
-  // uniform per user in GLOBAL user order, α·x sampling down the user's
-  // column range, per-event demand, and the first-c_v-contenders-by-user-id
-  // cutoff rule (pair (v, u) survives iff u < cutoff[v]). Every pass is
-  // shard-major so a budgeted run pages each shard in at most once per pass.
-  std::vector<std::vector<int32_t>> sampled(static_cast<size_t>(num_shards));
+  // RoundFractional's exact semantics lifted across shards, in one
+  // shard-major pass over the users in global order: each user draws one
+  // uniform, samples a column with probability α·x, and keeps an event of
+  // it iff fewer than c_v earlier users kept that event — exactly the first
+  // c_v contenders by user id that RoundFractional's per-event cutoffs keep.
+  std::vector<int32_t> load(static_cast<size_t>(nv), 0);
+  Arrangement arrangement(nv, nu);
+  int32_t repaired = 0;
   for (int32_t si = 0; si < num_shards; ++si) {
-    sampled[static_cast<size_t>(si)].assign(
-        static_cast<size_t>(shards[static_cast<size_t>(si)].num_local_users()),
-        -1);
-  }
-  for (int32_t si = 0; si < num_shards; ++si) {
-    const Shard& shard = shards[static_cast<size_t>(si)];
-    IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes, lanes_of(si));
-    const auto& xs = best_x[static_cast<size_t>(si)];
-    for (int32_t lu = 0; lu < shard.num_local_users(); ++lu) {
+    IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes, columns.Serial(si));
+    const UserId ub = bounds[static_cast<size_t>(si)];
+    const int32_t coff = column_begin[static_cast<size_t>(si)];
+    for (UserId u = ub; u < bounds[static_cast<size_t>(si) + 1]; ++u) {
       double r = rng->NextDouble();
-      const int32_t begin = lanes->user_columns_begin(lu);
-      const int32_t end = lanes->user_columns_end(lu);
-      for (int32_t j = begin; j < end; ++j) {
+      int32_t sampled = -1;
+      for (int32_t lj = lanes->user_columns_begin(u - ub);
+           lj < lanes->user_columns_end(u - ub); ++lj) {
         const double mass =
             options.alpha *
-            std::clamp(xs[static_cast<size_t>(j)], 0.0, 1.0);
+            std::clamp(coordinated.x[static_cast<size_t>(coff + lj)], 0.0,
+                       1.0);
         if (r < mass) {
-          sampled[static_cast<size_t>(si)][static_cast<size_t>(lu)] = j;
+          sampled = lj;
           break;
         }
         r -= mass;
       }
-    }
-  }
-  std::vector<int32_t> demand(static_cast<size_t>(nv), 0);
-  for (int32_t si = 0; si < num_shards; ++si) {
-    const Shard& shard = shards[static_cast<size_t>(si)];
-    IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes, lanes_of(si));
-    for (int32_t lu = 0; lu < shard.num_local_users(); ++lu) {
-      const int32_t j = sampled[static_cast<size_t>(si)][static_cast<size_t>(lu)];
-      if (j < 0) continue;
-      for (EventId v : lanes->set(j)) {
-        ++demand[static_cast<size_t>(v)];
-      }
-    }
-  }
-  // Contender collection runs shard-outer (one lanes acquisition per shard)
-  // instead of event-outer; per-event contender order stays (shard asc,
-  // column asc), exactly what the event-outer walk produced.
-  std::vector<int32_t> cutoff(static_cast<size_t>(nv), kNoRepairCutoff);
-  std::vector<EventId> overloaded;
-  std::vector<int32_t> slot(static_cast<size_t>(nv), -1);
-  for (EventId v = 0; v < nv; ++v) {
-    if (demand[static_cast<size_t>(v)] > instance.event_capacity(v)) {
-      slot[static_cast<size_t>(v)] =
-          static_cast<int32_t>(overloaded.size());
-      overloaded.push_back(v);
-    }
-  }
-  std::vector<std::vector<UserId>> contenders(overloaded.size());
-  if (!overloaded.empty()) {
-    for (int32_t si = 0; si < num_shards; ++si) {
-      const Shard& shard = shards[static_cast<size_t>(si)];
-      IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes, lanes_of(si));
-      const auto& shard_sampled = sampled[static_cast<size_t>(si)];
-      for (EventId v : overloaded) {
-        auto& event_contenders =
-            contenders[static_cast<size_t>(slot[static_cast<size_t>(v)])];
-        lanes->ForEachColumnOfEvent(v, [&](int32_t j) {
-          const int32_t owner = lanes->user_of(j);
-          if (shard_sampled[static_cast<size_t>(owner)] == j) {
-            event_contenders.push_back(shard.user_begin + owner);
-          }
-        });
-      }
-    }
-  }
-  for (EventId v : overloaded) {
-    auto& event_contenders =
-        contenders[static_cast<size_t>(slot[static_cast<size_t>(v)])];
-    const int32_t cap = instance.event_capacity(v);
-    if (static_cast<int32_t>(event_contenders.size()) <= cap) continue;
-    std::nth_element(event_contenders.begin(), event_contenders.begin() + cap,
-                     event_contenders.end());
-    cutoff[static_cast<size_t>(v)] = event_contenders[static_cast<size_t>(cap)];
-  }
-  Arrangement arrangement(nv, nu);
-  int32_t repaired = 0;
-  for (int32_t si = 0; si < num_shards; ++si) {
-    const Shard& shard = shards[static_cast<size_t>(si)];
-    IGEPA_ASSIGN_OR_RETURN(const CatalogLanes* lanes, lanes_of(si));
-    for (int32_t lu = 0; lu < shard.num_local_users(); ++lu) {
-      const int32_t j = sampled[static_cast<size_t>(si)][static_cast<size_t>(lu)];
-      if (j < 0) continue;
-      const UserId gu = shard.user_begin + lu;
-      for (EventId v : lanes->set(j)) {
-        if (gu < cutoff[static_cast<size_t>(v)]) {
-          IGEPA_RETURN_IF_ERROR(arrangement.Add(v, gu));
+      if (sampled < 0) continue;
+      for (const EventId v : lanes->set(sampled)) {
+        if (load[static_cast<size_t>(v)]++ < instance.event_capacity(v)) {
+          IGEPA_RETURN_IF_ERROR(arrangement.Add(v, u));
         } else {
           ++repaired;
         }
       }
     }
   }
+  columns.DropSerial();
   if (stats != nullptr) {
     stats->pairs_repaired = repaired;
     if (residency) {
@@ -976,6 +722,41 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
     }
   }
   return arrangement;
+}
+
+}  // namespace
+
+std::vector<UserId> ShardUserBounds(int32_t num_users,
+                                    const ShardedSolveOptions& options) {
+  if (num_users <= 0) return {0};
+  const int32_t per = std::max(1, options.users_per_shard);
+  int32_t k = options.num_shards > 0 ? options.num_shards
+                                     : (num_users + per - 1) / per;
+  k = std::clamp(k, 1, num_users);
+  // Balanced contiguous partition: the first (num_users mod k) shards carry
+  // one extra user. A pure function of (num_users, k).
+  std::vector<UserId> bounds(static_cast<size_t>(k) + 1, 0);
+  const int32_t base = num_users / k;
+  const int32_t extra = num_users % k;
+  for (int32_t s = 0; s < k; ++s) {
+    bounds[static_cast<size_t>(s) + 1] =
+        bounds[static_cast<size_t>(s)] + base + (s < extra ? 1 : 0);
+  }
+  return bounds;
+}
+
+Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
+                                 const ShardedSolveOptions& options,
+                                 ShardedSolveStats* stats) {
+  IGEPA_RETURN_IF_ERROR(ValidateOptions(options));
+  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
+  // Pool tasks catch their own allocation failures; this catches the
+  // calling thread's, so running out of memory is a Status, not an abort.
+  try {
+    return ShardedSolveImpl(instance, rng, options, stats);
+  } catch (const std::bad_alloc&) {
+    return OutOfMemory(options.memory_budget_bytes);
+  }
 }
 
 }  // namespace core

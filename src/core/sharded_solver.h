@@ -32,10 +32,10 @@ struct ShardedSolveOptions {
   /// Per-shard admissible-set enumeration (num_threads applies inside one
   /// shard's build; shards themselves parallelize via the solver's pool).
   AdmissibleOptions admissible;
-  /// Level-1 per-shard warm solve: each shard solves its own benchmark LP
+  /// Level-1 per-shard solve: each shard solves its own benchmark LP
   /// against 1/K-scaled event capacities to seed the coordination prices.
   /// Loose by default — level 1 only needs a good starting μ, level 2 owns
-  /// the certified gap.
+  /// the certified gap. Skipped at K = 1.
   StructuredDualOptions level1;
   /// Worker threads across shards (0 = hardware concurrency). Per-shard
   /// partials always merge in shard order, so results are bit-identical for
@@ -95,33 +95,32 @@ struct ShardedSolveStats {
 ///
 /// **Level 1 (decompose):** users are split into K contiguous shards, each
 /// with its own AdmissibleCatalog (generalizing the structured solver's fixed
-/// 64-user oracle shards into independent solver instances) and its own
-/// warm-dual state. Every shard solves its private benchmark LP against
-/// 1/K-scaled event capacities via SolveBenchmarkLpStructured — K independent
-/// solves that parallelize perfectly and produce per-shard dual prices.
+/// 64-user oracle chunks into independent solver instances). Every shard
+/// solves its private benchmark LP against 1/K-scaled event capacities via
+/// SolveBenchmarkLpStructured — K independent solves that parallelize
+/// perfectly and produce per-shard dual prices.
 ///
 /// **Level 2 (coordinate):** the per-event capacity rows are the only
 /// coupling between shards, so the global Lagrangian decomposes as
 ///   L(μ) = Σ_v c_v·μ_v + Σ_k Σ_{u∈shard k} max(0, max_S (w(u,S) − Σ_{v∈S} μ_v))
-/// over one SHARED price vector μ, seeded with the shard-average of the
-/// level-1 duals. Projected subgradient descent iterates μ to the target
-/// tolerance: each iteration runs the per-user oracle shard by shard (SIMD
-/// batch scoring, per-shard partial sums merged in shard order), suffix-
-/// averages oracle choices into a fractional x, and certifies the gap against
-/// the global upper bound — the same machinery as the monolithic structured
-/// solver, lifted one level.
+/// over one SHARED price vector μ. Level 2 is the monolithic structured
+/// dual's own loop (structured_dual_core.h) run over all K shard catalogs:
+/// a warm solve from the shard-average of the level-1 duals, with its
+/// fine-step probe, window-end gap checks and certified oracle skipping,
+/// to StructuredDualOptions' default target gap. At K = 1 it runs cold, so
+/// the result equals LpPacking's bit for bit.
 ///
 /// **Legalize:** one global rounding/repair sweep with RoundFractional's
-/// exact semantics — one pre-drawn uniform per user in global user order,
-/// α·x sampling, per-event demand, and the first-c_v-contenders-by-user-id
-/// cutoff rule (RepairSampledColumns / RoundFractionalDelta semantics) —
+/// exact semantics — one uniform per user in global user order, α·x
+/// sampling, and each event kept by its first c_v contenders by user id —
 /// applied across shard boundaries, so the returned arrangement is always
 /// feasible on the full instance.
 ///
 /// Determinism: the arrangement is a pure function of (instance, shard
 /// count, rng seed, options). Thread count never changes a bit: every
-/// parallel reduction merges per-shard buffers in shard index order.
+/// parallel reduction merges per-chunk partials in a fixed order.
 ///
+/// An allocation failure returns ResourceExhausted naming the budget.
 /// `stats`, when non-null, receives the run diagnostics.
 Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
                                  const ShardedSolveOptions& options = {},

@@ -1,9 +1,13 @@
 #include "core/sharded_solver.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,10 +21,24 @@
 #include "io/binary_instance.h"
 #include "tests/core/test_instances.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace igepa {
 namespace core {
 namespace {
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
 
 Instance MakeSynthetic(uint64_t seed, int32_t events, int32_t users) {
   Rng rng(seed);
@@ -192,13 +210,16 @@ TEST(ShardedSolverTest, MoreShardsThanUsersClampsToOnePerUser) {
   EXPECT_EQ(clamped->pairs(), exact->pairs());
 }
 
-TEST(ShardedSolverTest, SingleShardTracksMonolithicOnSynthetic) {
-  // K=1 is the degenerate decomposition: one catalog, coordination over one
-  // shard. It is not the same code path as LpPacking, but it solves the same
-  // LP — the utilities must agree within the sampling slack.
+TEST(ShardedSolverTest, SingleShardEqualsLpPacking) {
+  // K = 1 has nothing to coordinate: level 1 is skipped and level 2 is a
+  // cold structured solve over the one shard catalog, which equals the
+  // monolithic catalog, and the legalize sweep is RoundFractional's. So the
+  // sharded solve returns LpPacking's arrangement and LP state bit for bit,
+  // in memory and under a one-shard budget.
   const Instance instance = MakeSynthetic(53, 25, 800);
   Rng rng_mono(17);
-  auto mono = LpPacking(instance, &rng_mono, {});
+  LpPackingStats mono_stats;
+  auto mono = LpPacking(instance, &rng_mono, {}, &mono_stats);
   ASSERT_TRUE(mono.ok()) << mono.status();
 
   ShardedSolveOptions options;
@@ -208,8 +229,45 @@ TEST(ShardedSolverTest, SingleShardTracksMonolithicOnSynthetic) {
   auto sharded = ShardedSolve(instance, &rng_shard, options, &stats);
   ASSERT_TRUE(sharded.ok()) << sharded.status();
   EXPECT_EQ(stats.num_shards, 1);
-  EXPECT_TRUE(sharded->CheckFeasible(instance).ok());
-  EXPECT_GT(sharded->Utility(instance), 0.9 * mono->Utility(instance));
+  EXPECT_EQ(stats.level1_iterations, 0);
+  EXPECT_EQ(sharded->pairs(), mono->pairs());
+  EXPECT_EQ(stats.lp_objective, mono_stats.lp_objective);
+  EXPECT_EQ(stats.lp_upper_bound, mono_stats.lp_upper_bound);
+  EXPECT_EQ(stats.coordination_iterations, mono_stats.lp_iterations);
+  EXPECT_EQ(stats.pairs_repaired, mono_stats.pairs_repaired);
+
+  ShardedSolveOptions budgeted = options;
+  budgeted.memory_budget_bytes = uint64_t{1} << 30;
+  Rng rng_probe(17);
+  ShardedSolveStats probe;
+  ASSERT_TRUE(ShardedSolve(instance, &rng_probe, budgeted, &probe).ok());
+  budgeted.memory_budget_bytes = probe.shard_footprint_bytes;
+  Rng rng_spill(17);
+  ShardedSolveStats spill_stats;
+  auto spilled = ShardedSolve(instance, &rng_spill, budgeted, &spill_stats);
+  ASSERT_TRUE(spilled.ok()) << spilled.status();
+  EXPECT_GT(spill_stats.page_ins, 0u);
+  EXPECT_EQ(spilled->pairs(), mono->pairs());
+  EXPECT_EQ(spill_stats.lp_objective, mono_stats.lp_objective);
+  EXPECT_EQ(spill_stats.lp_upper_bound, mono_stats.lp_upper_bound);
+}
+
+TEST(ShardedSolverTest, LevelTwoCertifiesFromLevelOnePrices) {
+  // Level 2 is a warm solve from the shard-average of the level-1 duals.
+  // Its fine-step probe keeps those prices, so it certifies within its
+  // first averaging windows instead of re-deriving them cold (100
+  // iterations on a 20,000 × 200 instance before the probe rule).
+  const Instance instance = MakeSynthetic(71, 200, 20000);
+  ShardedSolveOptions options;
+  options.num_shards = 4;
+  Rng rng(7);
+  ShardedSolveStats stats;
+  auto arrangement = ShardedSolve(instance, &rng, options, &stats);
+  ASSERT_TRUE(arrangement.ok()) << arrangement.status();
+  EXPECT_TRUE(arrangement->CheckFeasible(instance).ok());
+  EXPECT_GT(stats.level1_iterations, 0);
+  EXPECT_LE(stats.coordination_iterations, 7);
+  EXPECT_LE(stats.gap, 0.01);
 }
 
 TEST(ShardedSolverTest, ShardOfEmptyBidUsersContributesNothingAndBreaksNothing) {
@@ -421,6 +479,41 @@ TEST(ShardedSolverTest, BudgetBelowOneShardIsRejectedNamingTheMinimum) {
   minimum.memory_budget_bytes = probe_stats.shard_footprint_bytes;
   Rng rng_min(3);
   EXPECT_TRUE(ShardedSolve(instance, &rng_min, minimum).ok());
+}
+
+// Runs a budgeted four-shard solve on two workers under an address-space
+// cap a few MiB above what the process maps at the start, and exits 0 iff
+// the solve returned a non-OK Status.
+void SolveUnderAddressSpaceCap() {
+  const Instance instance = MakeSynthetic(37, 200, 20000);
+  ThreadPool workers(2);
+  ShardedSolveOptions options;
+  options.num_shards = 4;
+  options.workers = &workers;
+  options.memory_budget_bytes = uint64_t{64} << 20;
+  std::ifstream statm("/proc/self/statm");
+  uint64_t pages = 0;
+  statm >> pages;
+  rlimit cap{};
+  cap.rlim_cur = pages * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE)) +
+                 (uint64_t{6} << 20);
+  cap.rlim_max = RLIM_INFINITY;
+  if (pages == 0 || ::setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(2);
+  Rng rng(3);
+  const auto solved = ShardedSolve(instance, &rng, options);
+  std::fprintf(stderr, "%s\n", solved.status().ToString().c_str());
+  std::_Exit(solved.ok() ? 1 : 0);
+}
+
+TEST(ShardedSolverTest, AllocationFailureIsAStatusNotAnAbort) {
+  // An exception that escapes a pool task calls std::terminate, so every
+  // task catches std::bad_alloc and ShardedSolve catches the caller's: the
+  // capped child must exit normally with a non-OK Status.
+  if (kSanitized) {
+    GTEST_SKIP() << "sanitizer runtimes reserve address space past any cap";
+  }
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(SolveUnderAddressSpaceCap(), testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
