@@ -46,8 +46,8 @@ struct ShardedSolveOptions {
   ThreadPool* workers = nullptr;
   /// Catalog residency budget in bytes (0 = keep every shard catalog in RAM,
   /// the classic path). When set, each shard's catalog spills once into a
-  /// per-run `igepa-cat,1` file right after its level-1 warm solve and is
-  /// dropped from RAM; level 2 and the global legalize sweep run on mmapped
+  /// per-run `igepa-cat,1` file right after level 1 and is dropped from
+  /// RAM; level 2 and the global legalize sweep run on mmapped
   /// CatalogView lanes under an LRU ShardResidency manager, so peak catalog
   /// RSS is bounded by (budget + one shard's footprint). Must be at least the
   /// largest single shard's catalog footprint — smaller budgets are rejected

@@ -255,8 +255,7 @@ TEST(ShardedSolverTest, SingleShardEqualsLpPacking) {
 TEST(ShardedSolverTest, LevelTwoCertifiesFromLevelOnePrices) {
   // Level 2 is a warm solve from the shard-average of the level-1 duals.
   // Its fine-step probe keeps those prices, so it certifies within its
-  // first averaging windows instead of re-deriving them cold (100
-  // iterations on a 20,000 × 200 instance before the probe rule).
+  // first averaging windows instead of re-deriving them cold.
   const Instance instance = MakeSynthetic(71, 200, 20000);
   ShardedSolveOptions options;
   options.num_shards = 4;
